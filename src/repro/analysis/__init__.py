@@ -21,7 +21,6 @@ from repro.analysis.experiments import (
     derive_goal,
     run_comparison,
     run_single,
-    standard_policies,
 )
 from repro.analysis.parallel import (
     PolicySpec,
@@ -42,7 +41,6 @@ __all__ = [
     "derive_goal",
     "run_comparison",
     "run_single",
-    "standard_policies",
     "CODE_VERSION",
     "ResultCache",
     "content_key",

@@ -16,23 +16,26 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field, replace
 
-
 from repro.analysis.cache import ResultCache
 from repro.analysis.energy import savings_fraction
+from repro.analysis.parallel import (
+    PolicySpec,
+    RunSpec,
+    TraceSpec,
+    comparison_specs,
+    execute,
+    execute_one,
+    simulation_class,
+)
 from repro.analysis.report import format_count, format_duration
-from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
+from repro.core.hibernator import HibernatorConfig
 from repro.disks.array import ArrayConfig
 from repro.disks.specs import ultrastar_36z15
 from repro.faults.plan import FaultPlan
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.base import PowerPolicy
-from repro.policies.drpm import DrpmConfig, DrpmPolicy
-from repro.policies.maid import MaidConfig, MaidPolicy, maid_array_config
-from repro.policies.pdc import PdcConfig, PdcPolicy
-from repro.policies.tpm import TpmConfig, TpmPolicy
-from repro.sim.runner import ArraySimulation, SimulationResult
+from repro.sim.runner import SimulationResult
 from repro.traces.model import Trace
-from repro.traces.tracestats import per_extent_rates
 
 
 def default_array_config(
@@ -84,8 +87,6 @@ def run_single(
     ``engine`` picks the simulation core (``"scalar"``/``"batch"``);
     results are byte-identical either way.
     """
-    from repro.analysis.parallel import simulation_class
-
     sim = simulation_class(engine)(
         trace=trace,
         array_config=array_config,
@@ -96,6 +97,23 @@ def run_single(
         faults=faults,
     )
     return sim.run()
+
+
+def slack_goal(slack: float, base: SimulationResult | None = None) -> float:
+    """Check a goal slack and return the goal it sets over ``base``.
+
+    The one place both checks live: ``slack`` must be at least 1 (a goal
+    below Base's own mean response is unmeetable by definition) and Base
+    must have served requests. Without ``base`` only the slack is checked
+    and returned, so a caller can reject it before paying for Base.
+    """
+    if not slack >= 1.0:
+        raise ValueError(f"slack below 1.0 is unmeetable by definition, got {slack!r}")
+    if base is None:
+        return slack
+    if base.mean_response_s <= 0:
+        raise ValueError("Base run produced no requests; cannot derive a goal")
+    return slack * base.mean_response_s
 
 
 def derive_goal(
@@ -114,45 +132,10 @@ def derive_goal(
     Base runs under the same fault plan as the schemes it anchors, so
     the goal reflects degraded-mode service times.
     """
-    if slack < 1.0:
-        raise ValueError(f"slack below 1.0 is unmeetable by definition, got {slack!r}")
+    slack_goal(slack)
     base = run_single(trace, array_config, AlwaysOnPolicy(), observe=observe,
                       faults=faults, engine=engine)
-    if base.mean_response_s <= 0:
-        raise ValueError("Base run produced no requests; cannot derive a goal")
-    return slack * base.mean_response_s, base
-
-
-def standard_policies(
-    trace: Trace,
-    array_config: ArrayConfig,
-    hibernator_config: HibernatorConfig | None = None,
-    prime_hibernator: bool = True,
-    tpm_config: "TpmConfig | None" = None,
-    drpm_config: "DrpmConfig | None" = None,
-    pdc_config: "PdcConfig | None" = None,
-    maid_config: MaidConfig | None = None,
-) -> list[tuple[PowerPolicy, ArrayConfig]]:
-    """The paper's comparison set (minus Base, which derives the goal).
-
-    Returns (policy, array_config) pairs because MAID needs its cache
-    disks excluded from initial placement. PDC's re-ranking period
-    defaults to Hibernator's epoch so the adaptive schemes act on the
-    same timescale.
-    """
-    hib_cfg = hibernator_config or HibernatorConfig()
-    if prime_hibernator and hib_cfg.prime_rates is None:
-        hib_cfg = replace(hib_cfg, prime_rates=per_extent_rates(trace))
-    if pdc_config is None:
-        pdc_config = PdcConfig(period_s=hib_cfg.epoch_seconds)
-    maid_cfg = maid_config or MaidConfig()
-    return [
-        (TpmPolicy(tpm_config), array_config),
-        (DrpmPolicy(drpm_config), array_config),
-        (PdcPolicy(pdc_config), array_config),
-        (MaidPolicy(maid_cfg), maid_array_config(array_config, maid_cfg.num_cache_disks)),
-        (HibernatorPolicy(hib_cfg), array_config),
-    ]
+    return slack_goal(slack, base), base
 
 
 @dataclass
@@ -236,7 +219,6 @@ def run_comparison(
     trace: Trace,
     array_config: ArrayConfig,
     slack: float = 1.5,
-    schemes: list[tuple[PowerPolicy, ArrayConfig]] | None = None,
     hibernator_config: HibernatorConfig | None = None,
     window_s: float | None = None,
     jobs: int = 1,
@@ -245,7 +227,8 @@ def run_comparison(
     faults: "FaultPlan | None" = None,
     engine: str = "scalar",
 ) -> ComparisonResult:
-    """Full paper-style comparison on one trace.
+    """Full paper-style comparison on one trace: Base, then
+    :func:`~repro.analysis.parallel.comparison_specs`.
 
     Args:
         jobs: worker processes for the scheme runs. The Base run always
@@ -260,49 +243,20 @@ def run_comparison(
         faults: fault plan applied to *every* run, Base included, so
             all schemes face the identical failure scenario.
     """
-    if jobs == 1 and cache is None:
-        goal_s, base_result = derive_goal(trace, array_config, slack, observe=observe,
-                                          faults=faults, engine=engine)
-        comparison = ComparisonResult(goal_s=goal_s, slack=slack)
-        comparison.results["Base"] = base_result
-        if schemes is None:
-            schemes = standard_policies(trace, array_config, hibernator_config)
-        for policy, config in schemes:
-            result = run_single(trace, config, policy, goal_s=goal_s,
-                                window_s=window_s, observe=observe, faults=faults,
-                                engine=engine)
-            comparison.results[result.policy_name] = result
-        return comparison
-
-    from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute, execute_one
-
-    if slack < 1.0:
-        raise ValueError(f"slack below 1.0 is unmeetable by definition, got {slack!r}")
+    slack_goal(slack)
     trace_spec = TraceSpec.from_trace(trace)
     base_result = execute_one(
         RunSpec(trace=trace_spec, array=array_config, policy=PolicySpec.named("base"),
                 observe=observe, faults=faults, engine=engine),
         cache=cache,
     )
-    if base_result.mean_response_s <= 0:
-        raise ValueError("Base run produced no requests; cannot derive a goal")
-    goal_s = slack * base_result.mean_response_s
+    goal_s = slack_goal(slack, base_result)
     comparison = ComparisonResult(goal_s=goal_s, slack=slack)
     comparison.results["Base"] = base_result
-    if schemes is None:
-        schemes = standard_policies(trace, array_config, hibernator_config)
     specs = [
-        RunSpec(
-            trace=trace_spec,
-            array=config,
-            policy=PolicySpec.from_instance(policy),
-            goal_s=goal_s,
-            window_s=window_s,
-            observe=observe,
-            faults=faults,
-            engine=engine,
-        )
-        for policy, config in schemes
+        replace(spec, observe=observe, faults=faults, engine=engine)
+        for spec in comparison_specs(trace_spec, array_config, goal_s,
+                                     hibernator_config, window_s)
     ]
     for result in execute(specs, jobs=jobs, cache=cache):
         comparison.results[result.policy_name] = result

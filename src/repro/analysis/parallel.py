@@ -20,17 +20,16 @@ wall-clock instrumentation (``runtime_*`` extras) varies.
 
 A spec describes its trace either by *recipe* (generator name + config,
 cheap to pickle, regenerated in the worker) or *inline* (a materialized
-:class:`~repro.traces.model.Trace`, content-hashed for caching). Policies
-are likewise either *named* (factory registry + params) or *instances*
-(pickled wholesale — policies hold no live state before ``attach``).
+:class:`~repro.traces.model.Trace`, content-hashed for caching). A policy
+is always *named*: a :data:`POLICY_FACTORIES` entry plus its params, built
+inside the worker and cache-keyed by that recipe.
 """
 
 from __future__ import annotations
 
-import pickle
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from repro.analysis.cache import ResultCache
@@ -183,43 +182,47 @@ class TraceSpec:
 # -- policy specs ------------------------------------------------------------
 
 
-def _make_hibernator(trace: Trace, **params: Any) -> PowerPolicy:
+def _make_hibernator(trace: Trace, array: ArrayConfig, **params: Any) -> tuple[PowerPolicy, ArrayConfig]:
     prime = params.pop("prime", True)
     config = params.pop("config", None) or HibernatorConfig(**params)
     if prime and config.prime_rates is None:
-        from dataclasses import replace
-
         config = replace(config, prime_rates=per_extent_rates(trace))
-    return HibernatorPolicy(config)
+    return HibernatorPolicy(config), array
 
 
-#: Named factories: name -> callable(trace, **params) -> PowerPolicy.
-#: ``trace`` lets trace-dependent setup (Hibernator heat priming) happen
-#: inside the worker instead of being shipped as data.
-POLICY_FACTORIES: dict[str, Callable[..., PowerPolicy]] = {
-    "base": lambda trace, **kw: AlwaysOnPolicy(),
-    "tpm": lambda trace, **kw: TpmPolicy(kw.pop("config", None) or TpmConfig(**kw)),
-    "drpm": lambda trace, **kw: DrpmPolicy(kw.pop("config", None) or DrpmConfig(**kw)),
-    "pdc": lambda trace, **kw: PdcPolicy(kw.pop("config", None) or PdcConfig(**kw)),
-    "maid": lambda trace, **kw: MaidPolicy(kw.pop("config", None) or MaidConfig(**kw)),
-    "oracle": lambda trace, **kw: OraclePolicy(**kw),
+def _make_maid(trace: Trace, array: ArrayConfig, **params: Any) -> tuple[PowerPolicy, ArrayConfig]:
+    config = params.pop("config", None) or MaidConfig(**params)
+    return MaidPolicy(config), maid_array_config(array, config.num_cache_disks)
+
+
+#: Named factories: name -> callable(trace, array, **params) returning the
+#: policy and the array config it runs on. ``trace`` lets trace-dependent
+#: setup (Hibernator heat priming) happen inside the worker instead of
+#: being shipped as data; ``array`` lets a policy reshape the array (MAID
+#: keeps its cache disks out of initial placement). This is the only
+#: place a policy is built from a name.
+POLICY_FACTORIES: dict[str, Callable[..., tuple[PowerPolicy, ArrayConfig]]] = {
+    "base": lambda trace, array, **kw: (AlwaysOnPolicy(), array),
+    "tpm": lambda trace, array, **kw: (TpmPolicy(kw.pop("config", None) or TpmConfig(**kw)), array),
+    "drpm": lambda trace, array, **kw: (DrpmPolicy(kw.pop("config", None) or DrpmConfig(**kw)), array),
+    "pdc": lambda trace, array, **kw: (PdcPolicy(kw.pop("config", None) or PdcConfig(**kw)), array),
+    "maid": _make_maid,
     "hibernator": _make_hibernator,
+    "oracle": lambda trace, array, **kw: (OraclePolicy(**kw), array),
 }
 
 
 @dataclass(eq=False)
 class PolicySpec:
-    """Picklable description of a power-management policy.
+    """Picklable recipe for a power-management policy.
 
-    Either ``name``/``params`` resolve through :data:`POLICY_FACTORIES`
-    (fully recipe-keyed), or ``instance`` carries a constructed policy
-    (keyed by its name, describe() string and pickled content — policies
-    are inert before ``attach``, so the pickle is stable).
+    ``name``/``params`` resolve through :data:`POLICY_FACTORIES` inside
+    the worker, and the cache key is that recipe. A spec never carries a
+    constructed policy, so every run builds its own, serial or parallel.
     """
 
     name: str | None = None
     params: dict[str, Any] = field(default_factory=dict)
-    instance: PowerPolicy | None = None
 
     @classmethod
     def named(cls, name: str, **params: Any) -> "PolicySpec":
@@ -227,37 +230,13 @@ class PolicySpec:
             raise ValueError(f"unknown policy {name!r}; known: {sorted(POLICY_FACTORIES)}")
         return cls(name=name, params=params)
 
-    @classmethod
-    def from_instance(cls, policy: PowerPolicy) -> "PolicySpec":
-        return cls(instance=policy)
-
     def build(self, trace: Trace, array_config: ArrayConfig) -> tuple[PowerPolicy, ArrayConfig]:
-        """Policy instance plus the (possibly adjusted) array config.
-
-        MAID built from a named spec excludes its cache disks from
-        initial placement, mirroring
-        :func:`repro.policies.maid.maid_array_config`; instance specs
-        assume the caller already adjusted the config.
-        """
-        if self.instance is not None:
-            return self.instance, array_config
+        """Policy instance plus the (possibly adjusted) array config."""
         if self.name is None:
-            raise ValueError("empty PolicySpec: set name or instance")
-        params = dict(self.params)
-        if self.name == "maid":
-            maid_cfg = params.get("config") or MaidConfig(**params)
-            return MaidPolicy(maid_cfg), maid_array_config(array_config, maid_cfg.num_cache_disks)
-        return POLICY_FACTORIES[self.name](trace, **params), array_config
+            raise ValueError("empty PolicySpec: set name")
+        return POLICY_FACTORIES[self.name](trace, array_config, **self.params)
 
     def cache_key(self) -> dict[str, Any]:
-        if self.instance is not None:
-            blob = pickle.dumps(self.instance, protocol=pickle.HIGHEST_PROTOCOL)
-            return {
-                "kind": "instance",
-                "name": self.instance.name,
-                "describe": self.instance.describe(),
-                "pickle": blob,
-            }
         return {"kind": "named", "name": self.name, "params": self.params}
 
 
@@ -402,11 +381,13 @@ def comparison_specs(
     hibernator_config: HibernatorConfig | None = None,
     window_s: float | None = None,
 ) -> list[RunSpec]:
-    """Named-spec version of the paper's standard comparison set.
+    """The paper's comparison set (minus Base, which derives the goal):
+    TPM, DRPM, PDC, MAID and Hibernator, in that order.
 
-    Mirrors :func:`repro.analysis.experiments.standard_policies` but
-    stays in recipe form end to end, so the specs are cheap to ship and
-    cache-keyed by construction parameters rather than trace content.
+    PDC's re-ranking period defaults to Hibernator's epoch so the
+    adaptive schemes act on the same timescale. The specs stay in recipe
+    form end to end, so they are cheap to ship and cache-keyed by
+    construction parameters.
     """
     hib_params: dict[str, Any] = {"config": hibernator_config} if hibernator_config else {}
     pdc_period = (hibernator_config or HibernatorConfig()).epoch_seconds

@@ -43,18 +43,21 @@ from typing import Sequence
 from repro.analysis.experiments import (
     ComparisonResult,
     default_array_config,
+    derive_goal,
     run_comparison,
-    run_single,
+    slack_goal,
+)
+from repro.analysis.parallel import (
+    POLICY_FACTORIES,
+    PolicySpec,
+    RunSpec,
+    TraceSpec,
+    execute,
+    execute_one,
+    run_spec,
 )
 from repro.analysis.report import format_kv, format_series, format_table
-from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.policies.base import PowerPolicy
-from repro.policies.drpm import DrpmPolicy
-from repro.policies.maid import MaidConfig, MaidPolicy, maid_array_config
-from repro.policies.oracle import OraclePolicy
-from repro.policies.pdc import PdcConfig, PdcPolicy
-from repro.policies.tpm import TpmConfig, TpmPolicy
+from repro.core.hibernator import HibernatorConfig
 from repro.fleet.spec import PARTITIONER_NAMES
 from repro.sim.runner import SimulationResult
 from repro.traces.cello import CelloConfig, generate_cello
@@ -71,9 +74,9 @@ from repro.traces.synthetic import (
     generate_synthetic,
     generate_write_burst,
 )
-from repro.traces.tracestats import compute_trace_stats, per_extent_rates
+from repro.traces.tracestats import compute_trace_stats
 
-POLICY_NAMES = ("base", "tpm", "drpm", "pdc", "maid", "hibernator", "oracle")
+POLICY_NAMES = tuple(POLICY_FACTORIES)
 CTL_COMMANDS = ("ping", "status", "set-goal", "inject-fault", "force-boost", "shutdown")
 TRACE_KINDS = ("oltp", "cello", "synthetic", "flashcrowd", "multitenant", "writeburst")
 INGEST_FORMAT_NAMES = ("msr", "blkparse", "csv")
@@ -97,6 +100,18 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _slack(text: str) -> float:
+    value = float(text)
+    try:
+        return slack_goal(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _slacks(text: str) -> list[float]:
+    return [_slack(part) for part in text.split(",")]
 
 
 def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
@@ -253,28 +268,21 @@ def _array_config(args: argparse.Namespace, num_extents: int):
     return config
 
 
-def _build_policy(name: str, args: argparse.Namespace, trace: Trace,
-                  array_config) -> tuple[PowerPolicy, object]:
-    """Policy instance plus the (possibly adjusted) array config."""
-    if name == "base":
-        return AlwaysOnPolicy(), array_config
-    if name == "tpm":
-        return TpmPolicy(TpmConfig()), array_config
-    if name == "drpm":
-        return DrpmPolicy(), array_config
-    if name == "pdc":
-        return PdcPolicy(PdcConfig(period_s=args.epoch)), array_config
-    if name == "maid":
-        maid_cfg = MaidConfig()
-        return MaidPolicy(maid_cfg), maid_array_config(array_config, maid_cfg.num_cache_disks)
-    if name == "oracle":
-        return OraclePolicy(epoch_seconds=args.epoch), array_config
-    hib = HibernatorConfig(
-        epoch_seconds=args.epoch,
-        migration=args.migration,
-        prime_rates=per_extent_rates(trace) if args.prime else None,
-    )
-    return HibernatorPolicy(hib), array_config
+def _policy_spec(name: str, args: argparse.Namespace) -> PolicySpec:
+    """The named spec for ``--policy NAME`` under the flags this
+    subcommand has: ``--epoch`` sets Hibernator's and Oracle's epoch and
+    PDC's period; ``--migration`` and ``--no-prime`` tune Hibernator."""
+    params: dict[str, object] = {}
+    if name in ("hibernator", "oracle"):
+        params["epoch_seconds"] = args.epoch
+    elif name == "pdc":
+        params["period_s"] = args.epoch
+    if name == "hibernator":
+        if hasattr(args, "migration"):
+            params["migration"] = args.migration
+        if not getattr(args, "prime", True):
+            params["prime"] = False
+    return PolicySpec.named(name, **params)
 
 
 def _result_block(result: SimulationResult, base: SimulationResult | None,
@@ -383,14 +391,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     faults = _load_faults(args)
     base = None
     goal = None
-    if args.policy != "base" and args.slack is not None:
-        base = run_single(trace, config, AlwaysOnPolicy(), faults=faults,
-                          engine=args.engine)
-        goal = args.slack * base.mean_response_s
-    policy, policy_config = _build_policy(args.policy, args, trace, config)
-    result = run_single(trace, policy_config, policy, goal_s=goal,
-                        observe=bool(args.trace_out), faults=faults,
-                        engine=args.engine)
+    if args.policy != "base":
+        goal, base = derive_goal(trace, config, args.slack, faults=faults,
+                                 engine=args.engine)
+    result = run_spec(RunSpec(
+        trace=TraceSpec.from_trace(trace), array=config,
+        policy=_policy_spec(args.policy, args), goal_s=goal,
+        observe=bool(args.trace_out), faults=faults, engine=args.engine,
+    ))
     if args.trace_out:
         _write_trace_out(result.events, args.trace_out)
     if args.json:
@@ -441,14 +449,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_slack(args: argparse.Namespace) -> int:
-    from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute, execute_one
-
     trace = _resolve_trace(args)
     config = _array_config(args, trace.num_extents)
-    slacks = [float(s) for s in args.slacks.split(",")]
-    for slack in slacks:
-        if slack < 1.0:
-            raise SystemExit(f"slack {slack} below 1.0 is unmeetable")
     cache = _make_cache(args)
     observe = bool(args.trace_out)
     trace_spec = TraceSpec.from_trace(trace)
@@ -457,16 +459,15 @@ def cmd_sweep_slack(args: argparse.Namespace) -> int:
                 observe=observe),
         cache=cache,
     )
-    hib_cfg = HibernatorConfig(epoch_seconds=args.epoch, migration=args.migration)
     specs = [
         RunSpec(
             trace=trace_spec,
             array=config,
-            policy=PolicySpec.named("hibernator", config=hib_cfg),
-            goal_s=slack * base.mean_response_s,
+            policy=_policy_spec("hibernator", args),
+            goal_s=slack_goal(slack, base),
             observe=observe,
         )
-        for slack in slacks
+        for slack in args.slacks
     ]
     results = execute(specs, jobs=args.jobs, cache=cache)
     if args.trace_out:
@@ -475,7 +476,7 @@ def cmd_sweep_slack(args: argparse.Namespace) -> int:
             events.extend(result.events)
         _write_trace_out(events, args.trace_out)
     points = [(slack, 100.0 * result.energy_savings_vs(base))
-              for slack, result in zip(slacks, results)]
+              for slack, result in zip(args.slacks, results)]
     print(format_series(
         f"{trace.name}: Hibernator savings vs slack",
         points, x_label="slack", y_label="savings %",
@@ -490,8 +491,6 @@ def _fleet_trace_spec(args: argparse.Namespace):
     (``--arrays`` x ``--extents``); ``replicate`` keeps the per-array
     space because each array regenerates the recipe with its own seed.
     """
-    from repro.analysis.parallel import TraceSpec
-
     if args.trace:
         return TraceSpec.from_file(args.trace)
     if args.partitioner == "replicate":
@@ -501,18 +500,6 @@ def _fleet_trace_spec(args: argparse.Namespace):
     config = _inline_config(args.kind, args.duration, args.rate,
                             extents, args.seed)
     return TraceSpec.from_generator(args.kind, config)
-
-
-def _fleet_policy_spec(name: str, args: argparse.Namespace):
-    from repro.analysis.parallel import PolicySpec
-
-    if name == "hibernator":
-        return PolicySpec.named("hibernator", epoch_seconds=args.epoch)
-    if name == "pdc":
-        return PolicySpec.named("pdc", period_s=args.epoch)
-    if name == "oracle":
-        return PolicySpec.named("oracle", epoch_seconds=args.epoch)
-    return PolicySpec.named(name)
 
 
 def _build_fleet(args: argparse.Namespace, policy_name: str):
@@ -525,7 +512,7 @@ def _build_fleet(args: argparse.Namespace, policy_name: str):
         num_arrays=args.arrays,
         trace=_fleet_trace_spec(args),
         array=_array_config(args, args.extents),
-        policy=_fleet_policy_spec(policy_name, args),
+        policy=_policy_spec(policy_name, args),
         partitioner=args.partitioner,
         goal_s=args.goal_ms / 1e3 if args.goal_ms is not None else None,
         observe=bool(getattr(args, "trace_out", None)),
@@ -650,7 +637,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace = _resolve_trace(args)
     config = _array_config(args, trace.num_extents)
     goal = args.goal_ms / 1e3 if args.goal_ms is not None else None
-    policy, policy_config = _build_policy(args.policy, args, trace, config)
+    policy, policy_config = _policy_spec(args.policy, args).build(trace, config)
     sim = ArraySimulation(
         trace, policy_config, policy, goal_s=goal,
         observe=bool(args.trace_out), faults=_load_faults(args),
@@ -905,9 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_source(p)
     _add_array_options(p)
     p.add_argument("--policy", choices=POLICY_NAMES, default="hibernator")
-    p.add_argument("--slack", type=float, default=2.0,
-                   help="response-time goal as a multiple of Base's mean "
-                        "(ignored for --policy base)")
+    p.add_argument("--slack", type=_slack, default=2.0,
+                   help="response-time goal as a multiple of Base's mean, "
+                        ">= 1 (ignored for --policy base)")
     p.add_argument("--epoch", type=float, default=600.0, help="epoch/period seconds")
     p.add_argument("--migration", choices=("shuffle", "sorted", "none"),
                    default="shuffle")
@@ -924,7 +911,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run the full scheme comparison")
     _add_trace_source(p)
     _add_array_options(p)
-    p.add_argument("--slack", type=float, default=2.0)
+    p.add_argument("--slack", type=_slack, default=2.0,
+                   help="response-time goal as a multiple of Base's mean, >= 1")
     p.add_argument("--epoch", type=float, default=600.0)
     p.add_argument("--migration", choices=("shuffle", "sorted", "none"),
                    default="shuffle")
@@ -941,8 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-slack", help="Hibernator savings across goals")
     _add_trace_source(p)
     _add_array_options(p)
-    p.add_argument("--slacks", default="1.25,1.5,2.0,3.0",
-                   help="comma-separated slack multipliers")
+    p.add_argument("--slacks", type=_slacks, default="1.25,1.5,2.0,3.0",
+                   help="comma-separated slack multipliers, each >= 1")
     p.add_argument("--epoch", type=float, default=600.0)
     p.add_argument("--migration", choices=("shuffle", "sorted", "none"),
                    default="shuffle")

@@ -60,12 +60,9 @@ class FleetSpec:
         array: per-array template config. Each array gets a copy whose
             ``seed`` is replaced by its spawned per-array seed, so
             layout shuffles differ across the fleet.
-        policy: power policy, shared recipe. Must be a *named* spec —
-            an instance spec would share one stateful policy object
-            across serial array runs while parallel workers each
-            unpickle a private copy, which is exactly the
-            serial-vs-parallel divergence the determinism guarantee
-            forbids.
+        policy: power policy recipe, shared by every array. Each
+            array's run builds its own policy from it, so serial and
+            parallel fleets run identical, independent policy objects.
         partitioner: ``"block"`` (contiguous extent ranges),
             ``"stripe"`` (extents interleaved round-robin) or
             ``"replicate"`` (per-array regeneration with spawned
@@ -109,12 +106,6 @@ class FleetSpec:
             raise ValueError(
                 f"unknown partitioner {self.partitioner!r}; "
                 f"known: {list(PARTITIONER_NAMES)}"
-            )
-        if getattr(self.policy, "instance", None) is not None:
-            raise ValueError(
-                "FleetSpec requires a named PolicySpec: an instance spec "
-                "would be shared across serial array runs but copied per "
-                "parallel worker, breaking the jobs-invariance guarantee"
             )
         if self.partitioner == "replicate" and self.trace.generator is None:
             raise ValueError(

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
+from repro.analysis.experiments import default_array_config
+from repro.analysis.export import result_to_dict, write_json
+from repro.analysis.parallel import POLICY_FACTORIES, PolicySpec, RunSpec, TraceSpec, run_spec
 from repro.cli import main
 from repro.traces.io import load_trace
 
@@ -99,6 +105,59 @@ def test_sweep_slack_rejects_sub_one(tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep-slack", "--trace", str(path), "--disks", "4",
               "--slacks", "0.5"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--slack", "0.5"],
+    ["compare", "--slack", "0.5"],
+    ["sweep-slack", "--slacks", "1.5,0.5"],
+])
+def test_slack_below_one_is_a_usage_error(argv, capsys):
+    """Every goal-deriving subcommand rejects slack < 1 while parsing
+    arguments: exit 2 and a one-line error, before any simulation."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--kind", "synthetic", "--duration", "5", "--disks", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "unmeetable" in errors[0]
+
+
+def _strip_runtime(d):
+    return {**d, "extras": {k: v for k, v in d["extras"].items()
+                            if not k.startswith("runtime_")}}
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_FACTORIES))
+def test_run_json_matches_named_spec(tmp_path, capsys, name):
+    """`repro run --policy NAME` is exactly `run_spec` of
+    `PolicySpec.named(NAME, ...)` with the CLI's flag mapping — MAID's
+    cache-disk array adjustment included."""
+    path = gen(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--trace", str(path), "--policy", name,
+                 "--disks", "4", "--epoch", "30", "--json"]) == 0
+    cli = json.loads(capsys.readouterr().out)
+
+    trace = load_trace(path)
+    trace_spec = TraceSpec.from_trace(trace)
+    config = default_array_config(num_disks=4, num_extents=trace.num_extents)
+    goal = None
+    if name != "base":
+        base = run_spec(RunSpec(trace=trace_spec, array=config,
+                                policy=PolicySpec.named("base")))
+        goal = 2.0 * base.mean_response_s
+    params = {
+        "hibernator": {"epoch_seconds": 30.0, "migration": "shuffle"},
+        "oracle": {"epoch_seconds": 30.0},
+        "pdc": {"period_s": 30.0},
+    }.get(name, {})
+    result = run_spec(RunSpec(trace=trace_spec, array=config,
+                              policy=PolicySpec.named(name, **params), goal_s=goal))
+    buf = io.StringIO()
+    write_json(result_to_dict(result), buf)
+    assert _strip_runtime(cli) == _strip_runtime(json.loads(buf.getvalue()))
 
 
 def test_unknown_command_rejected():
@@ -237,12 +296,7 @@ def test_serve_replay_matches_run(tmp_path, capsys):
                  "--control", str(tmp_path / "ctl.sock"),
                  "--trace-out", str(events), "--json"]) == 0
     served = json.loads(capsys.readouterr().out)
-
-    def strip(d):
-        return {**d, "extras": {k: v for k, v in d["extras"].items()
-                                if not k.startswith("runtime_")}}
-
-    assert strip(batch) == strip(served)
+    assert _strip_runtime(batch) == _strip_runtime(served)
     # The streamed trace renders and reconciles like a batch one.
     capsys.readouterr()
     assert main(["trace", str(events)]) == 0

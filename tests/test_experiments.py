@@ -11,8 +11,8 @@ from repro.analysis.experiments import (
     derive_goal,
     run_comparison,
     run_single,
-    standard_policies,
 )
+from repro.analysis.parallel import TraceSpec, comparison_specs
 from repro.analysis.report import format_kv, format_series, format_table
 from repro.analysis.sweeps import series, sweep
 from repro.core.hibernator import HibernatorConfig
@@ -103,13 +103,15 @@ def test_run_single_passes_window(small_config):
     assert result.latency_windows
 
 
-def test_standard_policies_shape(small_config):
+def test_comparison_specs_shape(small_config):
     trace = poisson_trace(rate=10.0, duration=10.0, seed=43)
-    schemes = standard_policies(trace, small_config)
-    names = [policy.name for policy, _ in schemes]
-    assert names == ["TPM", "DRPM", "PDC", "MAID", "Hibernator"]
-    maid_config = dict(schemes)["MAID"] if False else schemes[3][1]
-    assert maid_config.initial_disks is not None
+    specs = comparison_specs(TraceSpec.from_trace(trace), small_config, goal_s=0.05)
+    built = [spec.policy.build(trace, spec.array) for spec in specs]
+    assert [policy.name for policy, _ in built] == ["TPM", "DRPM", "PDC", "MAID", "Hibernator"]
+    maid, maid_array = built[3]
+    cache_disks = maid.config.num_cache_disks
+    assert maid_array.initial_disks == tuple(range(cache_disks, small_config.num_disks))
+    assert all(array is small_config for i, (_, array) in enumerate(built) if i != 3)
 
 
 class TestReport:

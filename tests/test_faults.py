@@ -315,12 +315,12 @@ class TestPolicyReaction:
         background cache fills are delivered as failed ops (regression:
         ``array.submit`` / ``submit_background_op`` used to raise
         ``disk 0 has failed; route around it``)."""
-        from repro.policies.maid import MaidConfig, MaidPolicy, maid_array_config
+        from repro.analysis.parallel import PolicySpec
 
         trace = poisson_trace(rate=40.0, duration=60.0, seed=13)
-        config = maid_array_config(_raid_config(small_config), 1)
+        policy, config = PolicySpec.named("maid", num_cache_disks=1).build(
+            trace, _raid_config(small_config))
         plan = FaultPlan(disk_failures=(DiskFailure(time_s=5.0, disk=0),))
-        policy = MaidPolicy(MaidConfig(num_cache_disks=1))
         result = ArraySimulation(trace, config, policy, goal_s=0.1,
                                  faults=plan).run()
         assert result.extras["fault_failures_injected"] == 1

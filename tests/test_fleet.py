@@ -154,12 +154,6 @@ class TestFleetSpec:
         with pytest.raises(ValueError, match="unknown partitioner"):
             _fleet(partitioner="bogus")
 
-    def test_rejects_instance_policy(self):
-        from repro.policies.always_on import AlwaysOnPolicy
-
-        with pytest.raises(ValueError, match="named PolicySpec"):
-            _fleet(policy=PolicySpec.from_instance(AlwaysOnPolicy()))
-
     def test_replicate_requires_generator_trace(self):
         trace = generate_synthetic(SyntheticConfig(
             name="inline", duration=5.0, num_extents=ARRAY_EXTENTS))

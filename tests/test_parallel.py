@@ -25,7 +25,6 @@ from repro.analysis.parallel import (
     run_spec,
 )
 from repro.analysis.sweeps import series, sweep
-from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.maid import MaidConfig
 from repro.traces.synthetic import SizeMix, SyntheticConfig, generate_synthetic
 
@@ -111,13 +110,6 @@ class TestPolicySpec:
         policy, adjusted = PolicySpec.named("maid").build(trace, config)
         cache_disks = MaidConfig().num_cache_disks
         assert adjusted.initial_disks == tuple(range(cache_disks, config.num_disks))
-
-    def test_instance_passthrough(self):
-        trace = generate_synthetic(small_trace_config())
-        config = small_array()
-        policy = AlwaysOnPolicy()
-        built, adjusted = PolicySpec.from_instance(policy).build(trace, config)
-        assert built is policy and adjusted is config
 
     def test_empty_spec_rejected(self):
         trace = generate_synthetic(small_trace_config())
