@@ -777,18 +777,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    from datetime import datetime, timezone
-    from pathlib import Path
-
-    from repro.lint.guard import resolve_repo_root
     from repro.perf import (
-        compare_benchmarks,
-        find_baseline,
-        load_bench,
-        profile_scenarios,
+        profile_specs,
         run_benchmark,
         select_scenarios,
-        write_bench,
         write_golden,
     )
 
@@ -813,44 +805,18 @@ def cmd_perf(args: argparse.Namespace) -> int:
         return 0
 
     if args.profile:
-        print(profile_scenarios(scenarios, top=args.top))
+        specs = [s.spec(args.engine) for s in scenarios]
+        print(profile_specs(specs, top=args.top))
         return 0
 
     print(f"== repro perf: {len(scenarios)} scenario(s), "
           f"best of {args.repeats} repeat(s), engine={args.engine} ==")
-    doc = run_benchmark(scenarios, repeats=args.repeats, log=print,
-                        engine=args.engine)
-
-    root = resolve_repo_root(Path.cwd())
-    if args.out:
-        out = Path(args.out)
-    else:
-        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%d")
-        out = root / f"BENCH_{stamp}.json"
-    write_bench(doc, out)
-    print(f"wrote {out}")
-
-    if args.baseline:
-        baseline_path: Path | None = Path(args.baseline)
-    else:
-        baseline_path = find_baseline(root, exclude=out, engine=args.engine)
-    if baseline_path is None:
-        print("no committed BENCH_*.json baseline found; nothing to compare")
-        return 0
     try:
-        baseline = load_bench(baseline_path)
-    except (ValueError, OSError) as exc:
-        print(f"repro perf: cannot read baseline: {exc}", file=sys.stderr)
-        return 2
-    print(f"baseline: {baseline_path} (generated {baseline.get('generated_at')})")
-    lines, regressions = compare_benchmarks(doc, baseline, threshold=args.threshold)
-    for line in lines:
-        print(line)
-    if regressions:
-        print(f"PERF REGRESSION in {len(regressions)} scenario(s): "
-              f"{', '.join(regressions)}")
+        run_benchmark(scenarios, repeats=args.repeats, log=print,
+                      engine=args.engine)
+    except RuntimeError as exc:
+        print(f"repro perf: {exc}", file=sys.stderr)
         return 1
-    print("no perf regression")
     return 0
 
 
@@ -1184,39 +1150,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="run the canonical benchmark scenarios and gate on regressions",
+        help="run the canonical benchmark scenarios and check determinism",
         description="Microbenchmark harness: runs a fixed scenario matrix "
-                    "through the real experiment stack, writes a "
-                    "machine-readable BENCH_<date>.json at the repo root "
-                    "and compares events/s against the most recent "
-                    "committed BENCH file. Exit codes: 0 no regression "
-                    "(or no baseline), 1 regression, 2 usage error.",
+                    "through the real experiment stack and prints best-of-N "
+                    "events/s per scenario; writes no file. Compare speed "
+                    "against another commit with BENCHMARK.json/perfbench. "
+                    "Exit codes: 0 ok, 1 a scenario's repeats produced "
+                    "different result digests, 2 usage error.",
     )
     p.add_argument("--quick", action="store_true",
                    help="run only the quick subset (CI smoke)")
     p.add_argument("--scenario", action="append",
                    help="run only this scenario (repeatable)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="repeats per scenario; best wall time wins (default 3)")
-    p.add_argument("--out", help="output BENCH path (default "
-                                 "BENCH_<utc-date>.json at the repo root)")
-    p.add_argument("--baseline", help="explicit baseline BENCH file "
-                                      "(default: newest committed BENCH_*.json)")
-    p.add_argument("--threshold", type=float, default=0.9,
-                   help="regression threshold as a fraction of baseline "
-                        "events/s (default 0.9)")
+    p.add_argument("--repeats", type=_positive_int, default=3,
+                   help="repeats per scenario; best wall time wins and all "
+                        "result digests must agree (default 3)")
     p.add_argument("--profile", action="store_true",
                    help="cProfile the selected scenarios and print the "
                         "hottest functions instead of benchmarking")
-    p.add_argument("--top", type=int, default=25,
+    p.add_argument("--top", type=_positive_int, default=25,
                    help="rows in the --profile report (default 25)")
     p.add_argument("--write-golden", metavar="PATH",
                    help="run the golden scenarios and write their result "
                         "digests to PATH (regenerates the identity pins)")
     p.add_argument("--engine", choices=("scalar", "batch"), default="scalar",
-                   help="simulation core to benchmark; the BENCH document "
-                        "records it and baselines only match within the "
-                        "same engine")
+                   help="simulation core to benchmark or profile")
     p.add_argument("--list", action="store_true",
                    help="list the selected scenarios and exit")
     p.set_defaults(func=cmd_perf)

@@ -1,31 +1,21 @@
-"""Performance harness: canonical benchmark scenarios and regression gate.
+"""Performance harness: canonical benchmark scenarios and determinism checks.
 
 ``repro perf`` runs a fixed scenario matrix (trace kind x policy x
-faults) through the real experiment stack, records throughput into a
-machine-readable ``BENCH_<date>.json`` at the repo root, and compares
-against the most recent committed baseline — exit nonzero on regression,
-exactly like ``repro lint`` exits nonzero on findings.
+faults) through the real experiment stack and prints each scenario's
+best-of-N events/s. It writes no file and keeps no baseline: speed
+comparisons against the parent commit belong to the repo benchmark
+(``BENCHMARK.json`` + ``perfbench/``), which runs both trees on one host.
 
-The same scenarios double as the determinism anchor: every benchmark
-record carries a content digest of its (runtime-stripped) result, and
-the smaller golden set is pinned byte-for-byte by
-``tests/test_golden_identity.py``, so "faster" can never silently mean
-"different".
+The same scenarios double as the determinism anchor: every repeat of a
+scenario must produce the same content digest of its (runtime-stripped)
+result, or ``repro perf`` exits nonzero, and the smaller golden set is
+pinned byte-for-byte by ``tests/test_golden_identity.py``, so "faster"
+can never silently mean "different".
 """
 
 from repro.perf.digest import DIGEST_VERSION, result_digest, strip_runtime
-from repro.perf.harness import (
-    BENCH_PREFIX,
-    BENCH_SCHEMA_VERSION,
-    DEFAULT_THRESHOLD,
-    compare_benchmarks,
-    find_baseline,
-    load_bench,
-    run_benchmark,
-    write_bench,
-    write_golden,
-)
-from repro.perf.profiling import profile_scenarios
+from repro.perf.harness import run_benchmark, write_golden
+from repro.perf.profiling import profile_specs
 from repro.perf.scenarios import (
     PERF_SCENARIOS,
     PerfScenario,
@@ -34,21 +24,14 @@ from repro.perf.scenarios import (
 )
 
 __all__ = [
-    "BENCH_PREFIX",
-    "BENCH_SCHEMA_VERSION",
-    "DEFAULT_THRESHOLD",
     "DIGEST_VERSION",
     "PERF_SCENARIOS",
     "PerfScenario",
-    "compare_benchmarks",
-    "find_baseline",
     "golden_specs",
-    "load_bench",
-    "profile_scenarios",
+    "profile_specs",
     "result_digest",
     "run_benchmark",
     "select_scenarios",
     "strip_runtime",
-    "write_bench",
     "write_golden",
 ]

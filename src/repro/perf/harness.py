@@ -1,28 +1,15 @@
-"""Benchmark execution, BENCH files, and the regression gate.
+"""Benchmark execution: best-of-N wall time and the repeat-digest check.
 
-A BENCH document is plain JSON::
+:func:`run_benchmark` returns ``{scenario: record}`` where each record is::
 
-    {
-      "schema": 1,
-      "generated_at": "2026-08-05T12:00:00+00:00",
-      "code_version": "...",          # repro.analysis.cache.CODE_VERSION
-      "environment": {"python": ..., "platform": ..., "cpu_count": ...},
-      "repeats": 3,
-      "scenarios": {
-        "synth-base": {
-          "events": 71234, "requests": 35617, "wall_s": 1.04,
-          "events_per_s": 68494.2, "requests_per_s": 34247.1,
-          "digest": "<sha256 of the runtime-stripped result>"
-        }, ...
-      }
-    }
+    {"events": 71234, "requests": 35617, "wall_s": 1.04,
+     "events_per_s": 68494.2, "requests_per_s": 34247.1,
+     "digest": "<sha256 of the runtime-stripped result>"}
 
-The *baseline* is the committed ``BENCH_*.json`` at the repo root with
-the newest ``generated_at`` (the output file itself excluded), so simply
-committing a new BENCH file advances the baseline for the next run.
-Comparison is per-scenario on ``events_per_s``; a scenario below
-``threshold`` times its baseline rate is a regression and the CLI exits
-nonzero, mirroring ``repro lint``'s exit-code contract.
+Nothing is written to disk and nothing is compared against earlier runs:
+throughput numbers are only meaningful against the parent commit on the
+same host, which is what the repo benchmark (``BENCHMARK.json`` +
+``perfbench/``) measures.
 
 Wall time per scenario is the **best of N repeats** — the minimum is the
 standard estimator for "the code's cost" because every source of noise
@@ -32,11 +19,7 @@ standard estimator for "the code's cost" because every source of noise
 from __future__ import annotations
 
 import json
-import os
-import platform
-import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
 
@@ -45,26 +28,20 @@ from repro.analysis.cache import CODE_VERSION
 from repro.analysis.parallel import run_spec
 from repro.fleet.executor import run_fleet
 from repro.fleet.spec import FleetSpec
-from repro.lint.guard import resolve_repo_root
 from repro.perf.digest import DIGEST_VERSION, fleet_result_digest, result_digest
 from repro.perf.scenarios import PerfScenario, golden_specs
 
-BENCH_SCHEMA_VERSION = 1
-BENCH_PREFIX = "BENCH_"
 
-#: A scenario is a regression when its events/s falls below this
-#: fraction of the baseline's (0.9 = tolerate 10% noise).
-DEFAULT_THRESHOLD = 0.9
+def _measure(spec: Any) -> tuple[str, int, int, float]:
+    """Run one spec (single-array or fleet) and digest the result.
 
-
-def _measure(spec: Any) -> tuple[Any, str, int, int, float]:
-    """Run one spec (single-array or fleet) and digest the result."""
+    Returns ``(digest, events, requests, wall_s)``.
+    """
     start = time.perf_counter()
     if isinstance(spec, FleetSpec):
         fleet_result = run_fleet(spec)
         wall = time.perf_counter() - start
         return (
-            fleet_result,
             fleet_result_digest(fleet_result),
             int(fleet_result.extras["fleet_events_executed"]),
             fleet_result.num_requests + fleet_result.failed_requests,
@@ -73,7 +50,6 @@ def _measure(spec: Any) -> tuple[Any, str, int, int, float]:
     result = run_spec(spec)
     wall = time.perf_counter() - start
     return (
-        result,
         result_digest(result),
         int(result.extras["runtime_events"]),
         result.num_requests + result.failed_requests,
@@ -99,7 +75,7 @@ def _run_one(
     for _ in range(repeats):
         # Fresh spec per repeat: policies are stateful.
         spec = scenario.spec(engine)
-        _, digest, events, requests, wall = _measure(spec)
+        digest, events, requests, wall = _measure(spec)
         best_wall = min(best_wall, wall)
         digests.add(digest)
     record = {
@@ -118,8 +94,11 @@ def run_benchmark(
     repeats: int = 3,
     log: Callable[[str], None] | None = None,
     engine: str = "scalar",
-) -> dict[str, Any]:
-    """Run the scenarios and build a BENCH document.
+) -> dict[str, dict[str, Any]]:
+    """Run the scenarios; return ``{scenario name: record}``.
+
+    ``log``, when given, receives one events/s line per scenario as it
+    finishes.
 
     Repeats of one spec must be byte-identical (modulo ``runtime_*``
     extras); any scenario whose repeats disagree means the simulator
@@ -127,7 +106,7 @@ def run_benchmark(
     in a single :class:`RuntimeError` after the whole matrix has run, so
     one flaky scenario cannot hide another.
     """
-    records: dict[str, Any] = {}
+    records: dict[str, dict[str, Any]] = {}
     nondeterministic: list[str] = []
     for scenario in scenarios:
         record, distinct = _run_one(scenario, repeats, engine)
@@ -149,159 +128,7 @@ def run_benchmark(
             f"repeats: {', '.join(nondeterministic)}; the simulator leaked "
             "nondeterminism"
         )
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "code_version": CODE_VERSION,
-        "digest_version": DIGEST_VERSION,
-        "engine": engine,
-        "environment": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
-        "repeats": repeats,
-        "scenarios": records,
-    }
-
-
-def write_bench(doc: dict[str, Any], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str | Path) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "scenarios" not in doc:
-        raise ValueError(f"{path}: not a BENCH document")
-    return doc
-
-
-def find_baseline(
-    root: str | Path | None = None,
-    exclude: str | Path | None = None,
-    engine: str | None = None,
-) -> Path | None:
-    """Newest committed BENCH file by ``generated_at``; None if none.
-
-    ``exclude`` is the output path of the current run, so a rerun never
-    compares against itself. ``engine`` restricts the search to BENCH
-    documents produced by that backend (documents predating the field
-    count as ``"scalar"``), so a committed batch-engine report never
-    becomes the throughput baseline for a scalar run or vice versa.
-
-    Ties on ``generated_at`` (two files generated in the same second, or
-    a copied document) are broken by file name, lexicographically last —
-    an explicit, platform-independent rule, so which file wins never
-    depends on directory iteration order.
-    """
-    base = Path(root) if root is not None else resolve_repo_root(Path.cwd())
-    excluded = Path(exclude).resolve() if exclude is not None else None
-    best: tuple[str, str, Path] | None = None
-    for path in sorted(base.glob(BENCH_PREFIX + "*.json")):
-        if excluded is not None and path.resolve() == excluded:
-            continue
-        try:
-            doc = load_bench(path)
-        except (ValueError, OSError, json.JSONDecodeError):
-            continue
-        if engine is not None and str(doc.get("engine", "scalar")) != engine:
-            continue
-        stamp = str(doc.get("generated_at", ""))
-        if best is None or (stamp, path.name) > (best[0], best[1]):
-            best = (stamp, path.name, path)
-    return best[2] if best is not None else None
-
-
-def compare_benchmarks(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> tuple[list[str], list[str]]:
-    """Per-scenario speedup report.
-
-    Returns ``(lines, regressions)``: human-readable comparison lines
-    for every scenario present in both documents, and the names of
-    scenarios whose ``events_per_s`` fell below ``threshold`` times the
-    baseline. The gate runs on the *intersection* only: scenarios
-    present on one side (added since the baseline, or dropped from it)
-    are reported as informational lines plus a drift summary, never as
-    regressions — a matrix rename or addition must not wedge the gate,
-    and must not KeyError either.
-
-    Result digests are compared per scenario. A digest mismatch is a
-    regression only when both documents carry the same ``code_version``
-    and the same ``engine`` — then identical behaviour was promised and
-    broke. Across code versions (or engines, or when either document
-    predates the field) results may legitimately differ, so the mismatch
-    is reported as an informational drift line instead of failing the
-    gate.
-    """
-    if not 0.0 < threshold:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
-    lines: list[str] = []
-    regressions: list[str] = []
-    cur = current["scenarios"]
-    base = baseline["scenarios"]
-    cur_version = current.get("code_version")
-    base_version = baseline.get("code_version")
-    cur_engine = str(current.get("engine", "scalar"))
-    base_engine = str(baseline.get("engine", "scalar"))
-    digests_gate = (
-        cur_version is not None
-        and cur_version == base_version
-        and cur_engine == base_engine
-    )
-    if (cur_version or base_version) and cur_version != base_version:
-        lines.append(
-            f"  (code_version drift: baseline {base_version or '<unversioned>'}"
-            f" -> current {cur_version or '<unversioned>'}; digest "
-            "mismatches reported as warnings, not regressions)"
-        )
-    if cur_engine != base_engine:
-        lines.append(
-            f"  (engine drift: baseline {base_engine} -> current "
-            f"{cur_engine}; digest mismatches reported as warnings, "
-            "not regressions)"
-        )
-    added = sorted(set(cur) - set(base))
-    removed = sorted(set(base) - set(cur))
-    for name in sorted(set(cur) | set(base)):
-        if name not in base:
-            lines.append(f"  {name:<28} (new scenario, no baseline)")
-            continue
-        if name not in cur:
-            lines.append(f"  {name:<28} (in baseline only; not run)")
-            continue
-        old = float(base[name]["events_per_s"])
-        new = float(cur[name]["events_per_s"])
-        ratio = new / old if old > 0 else float("inf")
-        marker = ""
-        if ratio < threshold:
-            regressions.append(name)
-            marker = f"  REGRESSION (< {threshold:.2f}x)"
-        old_digest = base[name].get("digest")
-        new_digest = cur[name].get("digest")
-        if old_digest and new_digest and old_digest != new_digest:
-            if digests_gate:
-                if name not in regressions:
-                    regressions.append(name)
-                marker += "  DIGEST MISMATCH (same code_version/engine)"
-            else:
-                marker += "  digest drift (informational)"
-        lines.append(
-            f"  {name:<28} {old:>10,.0f} -> {new:>10,.0f} ev/s "
-            f"({ratio:.2f}x){marker}"
-        )
-    if added or removed:
-        lines.append(
-            f"  (scenario drift: {len(added)} added, {len(removed)} removed; "
-            f"gated on {len(set(cur) & set(base))} common)"
-        )
-    return lines, regressions
+    return records
 
 
 def write_golden(path: str | Path) -> dict[str, str]:
@@ -311,7 +138,7 @@ def write_golden(path: str | Path) -> dict[str, str]:
     only legitimate when a change *intends* to alter results, in which
     case ``CODE_VERSION`` must be bumped too (CACHE002 enforces that).
     """
-    digests = {name: _measure(spec)[1] for name, spec in sorted(golden_specs().items())}
+    digests = {name: _measure(spec)[0] for name, spec in sorted(golden_specs().items())}
     doc = {
         "schema": 1,
         "digest_version": DIGEST_VERSION,

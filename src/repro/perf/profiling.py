@@ -5,28 +5,29 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
+from typing import Iterable
 
-from repro.analysis.parallel import run_spec
+from repro.analysis.parallel import RunSpec, run_spec
 from repro.fleet.executor import run_fleet
 from repro.fleet.spec import FleetSpec
-from repro.perf.scenarios import PerfScenario
 
 
-def profile_scenarios(scenarios: tuple[PerfScenario, ...], top: int = 25) -> str:
-    """Run the scenarios once each under one profiler; return the report.
+def profile_specs(specs: Iterable[RunSpec | FleetSpec], top: int = 25) -> str:
+    """Run the specs once each under one profiler; return the report.
 
-    One shared profiler (rather than one per scenario) answers the
-    question the flag exists for — *where does the whole matrix spend
-    its time* — and keeps rarely-hit paths from being drowned out by
-    per-report noise floors. Fleet scenarios run serially (``jobs=1``)
-    so their shard work is visible to the profiler instead of hiding in
-    worker processes.
+    The caller builds the specs (``scenario.spec(engine)``), so the
+    profile covers exactly the engine the benchmark would run. One
+    shared profiler (rather than one per spec) answers the question the
+    flag exists for — *where does the whole matrix spend its time* — and
+    keeps rarely-hit paths from being drowned out by per-report noise
+    floors. Fleet scenarios run serially (``jobs=1``) so their shard
+    work is visible to the profiler instead of hiding in worker
+    processes.
     """
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top!r}")
     profiler = cProfile.Profile()
-    for scenario in scenarios:
-        spec = scenario.spec()
+    for spec in specs:
         profiler.enable()
         if isinstance(spec, FleetSpec):
             run_fleet(spec)

@@ -219,8 +219,8 @@ class PerfScenario:
     """One canonical benchmark scenario.
 
     Attributes:
-        name: stable identifier, used as the key in BENCH files —
-            renaming a scenario orphans its baseline history.
+        name: stable identifier: the ``--scenario`` argument and the
+            key of the scenario's record in :func:`run_benchmark` output.
         trace: ``"synthetic"`` or ``"cello"``.
         policy: ``"base"`` (always-on) or ``"hibernator"``.
         faults: inject the trace kind's fault plan.

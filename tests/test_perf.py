@@ -1,9 +1,11 @@
-"""Tests for the perf harness: scenario selection, BENCH documents,
-baseline discovery and the regression comparison."""
+"""Tests for the perf harness: scenario selection, result digests,
+``run_benchmark`` records, the repeat-digest check and the ``repro perf``
+CLI."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -11,15 +13,8 @@ import pytest
 
 from repro.analysis.parallel import run_spec
 from repro.perf.digest import result_digest, strip_runtime
-from repro.perf.harness import (
-    BENCH_PREFIX,
-    BENCH_SCHEMA_VERSION,
-    compare_benchmarks,
-    find_baseline,
-    load_bench,
-    run_benchmark,
-    write_bench,
-)
+from repro.cli import main
+from repro.perf.harness import run_benchmark
 from repro.perf.scenarios import PERF_SCENARIOS, golden_specs, select_scenarios
 
 
@@ -82,194 +77,23 @@ class TestDigest:
         assert result_digest(changed) != result_digest(result)
 
 
-def _bench_doc(**rates: float) -> dict:
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "generated_at": "2026-08-05T00:00:00+00:00",
-        "scenarios": {
-            name: {"events": 1000, "requests": 500, "wall_s": 1.0,
-                   "events_per_s": rate, "requests_per_s": rate / 2.0,
-                   "digest": "d"}
-            for name, rate in rates.items()
-        },
-    }
+_TICKS = itertools.count(1)
 
 
-class TestCompare:
-    def test_no_regression_at_equal_rates(self):
-        lines, regressions = compare_benchmarks(_bench_doc(a=100.0), _bench_doc(a=100.0))
-        assert regressions == []
-        assert any("1.00x" in line for line in lines)
+@dataclasses.dataclass(frozen=True)
+class _Stub:
+    """Scenario stand-in; a flaky one builds a different spec per repeat,
+    so its repeats produce distinct result digests."""
 
-    def test_regression_below_threshold(self):
-        _, regressions = compare_benchmarks(
-            _bench_doc(a=80.0), _bench_doc(a=100.0), threshold=0.9
-        )
-        assert regressions == ["a"]
+    name: str
+    flaky: bool
+    quick: bool = True
 
-    def test_threshold_is_configurable(self):
-        _, regressions = compare_benchmarks(
-            _bench_doc(a=80.0), _bench_doc(a=100.0), threshold=0.75
-        )
-        assert regressions == []
-
-    def test_new_and_dropped_scenarios_are_reported_not_failed(self):
-        lines, regressions = compare_benchmarks(
-            _bench_doc(new=50.0), _bench_doc(old=100.0)
-        )
-        assert regressions == []
-        text = "\n".join(lines)
-        assert "new scenario" in text and "baseline only" in text
-        assert "1 added, 1 removed" in text
-
-    def test_drifted_matrix_still_gates_the_intersection(self):
-        """Scenario-set drift (matrix grew a scenario, baseline has one
-        the run dropped) must not KeyError — and must not mask a real
-        regression in the scenarios both documents share."""
-        current = _bench_doc(shared=70.0, brand_new=10.0)
-        baseline = _bench_doc(shared=100.0, retired=10.0)
-        lines, regressions = compare_benchmarks(current, baseline, threshold=0.9)
-        assert regressions == ["shared"]
-        text = "\n".join(lines)
-        assert "brand_new" in text and "retired" in text
-        assert "gated on 1 common" in text
-
-    def test_identical_matrices_report_no_drift(self):
-        lines, _ = compare_benchmarks(_bench_doc(a=1.0), _bench_doc(a=1.0))
-        assert not any("drift" in line for line in lines)
-
-    def test_bad_threshold_raises(self):
-        with pytest.raises(ValueError, match="threshold"):
-            compare_benchmarks(_bench_doc(a=1.0), _bench_doc(a=1.0), threshold=0.0)
-
-    def test_digest_mismatch_same_version_is_a_regression(self):
-        current = _bench_doc(a=100.0)
-        baseline = _bench_doc(a=100.0)
-        current["code_version"] = baseline["code_version"] = "v1"
-        baseline["scenarios"]["a"]["digest"] = "something-else"
-        lines, regressions = compare_benchmarks(current, baseline)
-        assert regressions == ["a"]
-        assert "DIGEST MISMATCH" in "\n".join(lines)
-
-    def test_digest_mismatch_across_versions_is_informational(self):
-        """A baseline from older code may legitimately differ byte-wise:
-        the mismatch must be reported, but must not fail the gate."""
-        current = _bench_doc(a=100.0)
-        baseline = _bench_doc(a=100.0)
-        current["code_version"] = "v2"
-        baseline["code_version"] = "v1"
-        baseline["scenarios"]["a"]["digest"] = "something-else"
-        lines, regressions = compare_benchmarks(current, baseline)
-        assert regressions == []
-        text = "\n".join(lines)
-        assert "code_version drift: baseline v1 -> current v2" in text
-        assert "digest drift (informational)" in text
-        assert "DIGEST MISMATCH" not in text
-
-    def test_digest_mismatch_across_engines_is_informational(self):
-        current = _bench_doc(a=100.0)
-        baseline = _bench_doc(a=100.0)
-        current["code_version"] = baseline["code_version"] = "v1"
-        current["engine"] = "batch"
-        baseline["scenarios"]["a"]["digest"] = "something-else"
-        lines, regressions = compare_benchmarks(current, baseline)
-        assert regressions == []
-        text = "\n".join(lines)
-        assert "engine drift: baseline scalar -> current batch" in text
-        assert "digest drift (informational)" in text
-
-    def test_unversioned_documents_never_gate_on_digests(self):
-        """Documents predating code_version made no identity promise."""
-        current = _bench_doc(a=100.0)
-        baseline = _bench_doc(a=100.0)
-        baseline["scenarios"]["a"]["digest"] = "something-else"
-        lines, regressions = compare_benchmarks(current, baseline)
-        assert regressions == []
-        text = "\n".join(lines)
-        assert "digest drift (informational)" in text
-        assert "code_version drift" not in text
-
-
-class TestBenchFiles:
-    def test_write_load_roundtrip(self, tmp_path):
-        doc = _bench_doc(a=100.0)
-        path = tmp_path / "BENCH_roundtrip.json"
-        write_bench(doc, path)
-        assert load_bench(path) == doc
-
-    def test_load_rejects_non_bench_json(self, tmp_path):
-        path = tmp_path / "BENCH_bogus.json"
-        path.write_text("[1, 2, 3]\n")
-        with pytest.raises(ValueError, match="not a BENCH document"):
-            load_bench(path)
-
-    def test_find_baseline_picks_newest_generated_at(self, tmp_path):
-        older = _bench_doc(a=1.0)
-        older["generated_at"] = "2026-08-01T00:00:00+00:00"
-        newer = _bench_doc(a=2.0)
-        newer["generated_at"] = "2026-08-04T00:00:00+00:00"
-        write_bench(older, tmp_path / f"{BENCH_PREFIX}2026-08-01.json")
-        write_bench(newer, tmp_path / f"{BENCH_PREFIX}2026-08-04.json")
-        assert find_baseline(tmp_path) == tmp_path / f"{BENCH_PREFIX}2026-08-04.json"
-
-    def test_find_baseline_excludes_output_path(self, tmp_path):
-        doc = _bench_doc(a=1.0)
-        out = tmp_path / f"{BENCH_PREFIX}today.json"
-        write_bench(doc, out)
-        assert find_baseline(tmp_path, exclude=out) is None
-
-    def test_find_baseline_skips_corrupt_files(self, tmp_path):
-        (tmp_path / f"{BENCH_PREFIX}broken.json").write_text("{not json")
-        good = _bench_doc(a=1.0)
-        write_bench(good, tmp_path / f"{BENCH_PREFIX}good.json")
-        assert find_baseline(tmp_path) == tmp_path / f"{BENCH_PREFIX}good.json"
-
-    def test_find_baseline_empty_dir(self, tmp_path):
-        assert find_baseline(tmp_path) is None
-
-    def test_find_baseline_tie_breaks_on_filename(self, tmp_path):
-        """Equal ``generated_at`` stamps must resolve deterministically:
-        the lexicographically last file name wins (documented rule)."""
-        doc = _bench_doc(a=1.0)
-        doc["generated_at"] = "2026-08-05T00:00:00+00:00"
-        write_bench(doc, tmp_path / f"{BENCH_PREFIX}aaa.json")
-        write_bench(doc, tmp_path / f"{BENCH_PREFIX}zzz.json")
-        assert find_baseline(tmp_path) == tmp_path / f"{BENCH_PREFIX}zzz.json"
-        # Creation order must not matter: same answer with the names
-        # written the other way round in a fresh directory.
-        other = tmp_path / "other"
-        other.mkdir()
-        write_bench(doc, other / f"{BENCH_PREFIX}zzz.json")
-        write_bench(doc, other / f"{BENCH_PREFIX}aaa.json")
-        assert find_baseline(other) == other / f"{BENCH_PREFIX}zzz.json"
-
-    def test_find_baseline_filters_on_engine(self, tmp_path):
-        """A batch-engine BENCH file must never become the baseline for
-        a scalar run (and vice versa); documents predating the field
-        count as scalar."""
-        legacy = _bench_doc(a=1.0)  # no "engine" key -> scalar
-        legacy["generated_at"] = "2026-08-01T00:00:00+00:00"
-        batch = _bench_doc(a=9.0)
-        batch["engine"] = "batch"
-        batch["generated_at"] = "2026-08-04T00:00:00+00:00"
-        write_bench(legacy, tmp_path / f"{BENCH_PREFIX}legacy.json")
-        write_bench(batch, tmp_path / f"{BENCH_PREFIX}batch.json")
-        assert (find_baseline(tmp_path, engine="scalar")
-                == tmp_path / f"{BENCH_PREFIX}legacy.json")
-        assert (find_baseline(tmp_path, engine="batch")
-                == tmp_path / f"{BENCH_PREFIX}batch.json")
-        # Unfiltered search keeps the old newest-stamp behaviour.
-        assert find_baseline(tmp_path) == tmp_path / f"{BENCH_PREFIX}batch.json"
-
-    def test_find_baseline_newer_stamp_beats_filename(self, tmp_path):
-        older = _bench_doc(a=1.0)
-        older["generated_at"] = "2026-08-01T00:00:00+00:00"
-        newer = _bench_doc(a=2.0)
-        newer["generated_at"] = "2026-08-04T00:00:00+00:00"
-        # The newest stamp wins even when its file name sorts first.
-        write_bench(newer, tmp_path / f"{BENCH_PREFIX}aaa.json")
-        write_bench(older, tmp_path / f"{BENCH_PREFIX}zzz.json")
-        assert find_baseline(tmp_path) == tmp_path / f"{BENCH_PREFIX}aaa.json"
+    def spec(self, engine="scalar"):
+        real = golden_specs()["golden-nosamples"]
+        if not self.flaky:
+            return real
+        return dataclasses.replace(real, goal_s=0.001 * next(_TICKS))
 
 
 class TestRunBenchmark:
@@ -277,18 +101,22 @@ class TestRunBenchmark:
         # One tiny scenario, one repeat: this is a schema test, not a
         # performance test.
         scenario = select_scenarios(["synth-base"])[0]
-        doc = run_benchmark((scenario,), repeats=1)
-        assert doc["schema"] == BENCH_SCHEMA_VERSION
-        assert doc["repeats"] == 1
-        record = doc["scenarios"]["synth-base"]
+        records = run_benchmark((scenario,), repeats=1)
+        assert list(records) == ["synth-base"]
+        record = records["synth-base"]
+        assert set(record) == {"events", "requests", "wall_s",
+                               "events_per_s", "requests_per_s", "digest"}
         assert record["events"] > 0
         assert record["requests"] > 0
         assert record["wall_s"] > 0
         assert math.isclose(
             record["events_per_s"], record["events"] / record["wall_s"]
         )
-        assert len(record["digest"]) == 64
-        json.dumps(doc)  # must be serializable as-is
+        assert math.isclose(
+            record["requests_per_s"], record["requests"] / record["wall_s"]
+        )
+        assert record["digest"] == result_digest(run_spec(scenario.spec()))
+        json.dumps(records)  # must be serializable as-is
 
     def test_benchmark_rejects_bad_repeats(self):
         scenario = select_scenarios(["synth-base"])[0]
@@ -298,36 +126,13 @@ class TestRunBenchmark:
     def test_fleet_scenario_produces_a_record(self):
         scenario = select_scenarios(["fleet-small"])[0]
         assert scenario.fleet
-        doc = run_benchmark((scenario,), repeats=1)
-        record = doc["scenarios"]["fleet-small"]
+        record = run_benchmark((scenario,), repeats=1)["fleet-small"]
         assert record["events"] > 0 and record["requests"] > 0
         assert len(record["digest"]) == 64
 
     def test_nondeterministic_scenarios_are_all_reported(self):
         """One flaky scenario must not abort the matrix: every scenario
         runs, and the error names every offender at once."""
-
-        class _FlakySpec:
-            # Distinct extras per run -> distinct digest per repeat.
-            def __init__(self):
-                _FlakySpec.counter += 1
-                self.tick = _FlakySpec.counter
-
-        _FlakySpec.counter = 0
-
-        @dataclasses.dataclass(frozen=True)
-        class _Stub:
-            name: str
-            flaky: bool
-
-            def spec(self, engine="scalar"):
-                real = golden_specs()["golden-nosamples"]
-                if not self.flaky:
-                    return real
-                tick = _FlakySpec().tick
-                return dataclasses.replace(
-                    real, goal_s=0.001 * tick)  # different spec each repeat
-
         scenarios = (
             _Stub("flaky-a", True),
             _Stub("steady", False),
@@ -338,3 +143,45 @@ class TestRunBenchmark:
         message = str(err.value)
         assert "flaky-a" in message and "flaky-b" in message
         assert "steady" not in message
+
+
+class TestPerfCli:
+    def test_perf_prints_a_table_and_writes_no_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["perf", "--scenario", "synth-base", "--repeats", "1"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.split()[:1] == ["synth-base"]]
+        assert len(rows) == 1 and "ev/s" in rows[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_batch_profile_covers_the_batch_core(self, capsys):
+        assert main(["perf", "--profile", "--engine", "batch",
+                     "--scenario", "synth-base"]) == 0
+        assert "batch.py" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--repeats", "0"], 2, "argument --repeats: must be >= 1"),
+        (["--top", "0"], 2, "argument --top: must be >= 1"),
+        (["--repeats", "2"], 1, "nondeterminism"),
+    ], ids=["repeats-0", "top-0", "nondeterministic"])
+    def test_bad_input_exits_without_traceback(
+        self, argv, code, message, monkeypatch, capsys
+    ):
+        # Usage errors exit while parsing; the valid argv runs a scenario
+        # whose repeats disagree.
+        monkeypatch.setattr(
+            "repro.perf.select_scenarios",
+            lambda names=None, quick=False: (_Stub("flaky", True),),
+        )
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(["perf", *argv])
+            assert exc.value.code == 2
+        else:
+            assert main(["perf", *argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if message in line]
+        assert len(errors) == 1
