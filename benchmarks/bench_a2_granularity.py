@@ -11,32 +11,33 @@ serves a large share of requests at the wrong speed (it only ramps up
 from __future__ import annotations
 
 from common import (
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     bench_oltp_trace,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
-from repro.analysis.parallel import PolicySpec
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.policies.drpm import DrpmConfig, DrpmPolicy
 
 
 def run_all():
-    trace = bench_oltp_trace()
+    trace = TraceSpec.from_trace(bench_oltp_trace())
     config = bench_array_config()
-    base = run_single(trace, config, AlwaysOnPolicy())
-    goal = 2.0 * base.mean_response_s
-    hibernator = PolicySpec.named("hibernator", config=bench_hibernator_config()).build(trace, config)[0]
-    results = {
-        "Hibernator (coarse/CR)": run_single(trace, config, hibernator, goal_s=goal),
-        "DRPM (fine/reactive)": run_single(
-            trace, config, DrpmPolicy(DrpmConfig()), goal_s=goal
-        ),
+    cache = bench_cache()
+    [base] = execute([RunSpec(trace, config, PolicySpec.named("base"))], cache=cache)
+    goal = slack_goal(SLACK, base)
+    policies = {
+        "Hibernator (coarse/CR)": PolicySpec.named("hibernator", config=bench_hibernator_config()),
+        "DRPM (fine/reactive)": PolicySpec.named("drpm"),
     }
+    specs = [RunSpec(trace, config, policy, goal_s=goal) for policy in policies.values()]
+    results = dict(zip(policies, execute(specs, jobs=bench_jobs(), cache=cache)))
     return base, goal, results
 
 

@@ -13,37 +13,37 @@ from __future__ import annotations
 import dataclasses
 
 from common import (
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     bench_oltp_trace,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.core.hibernator import HibernatorPolicy
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.traces.tracestats import per_extent_rates
 
 BASE_EPOCH_S = 150.0
 
 
 def run_all():
-    trace = bench_oltp_trace()
+    trace = TraceSpec.from_trace(bench_oltp_trace())
     config = bench_array_config()
-    base = run_single(trace, config, AlwaysOnPolicy())
-    goal = 2.0 * base.mean_response_s
-    prime = per_extent_rates(trace)
-    results = {}
-    for adaptive in (False, True):
-        hib_config = dataclasses.replace(
-            bench_hibernator_config(epoch_seconds=BASE_EPOCH_S),
-            adaptive_epochs=adaptive,
-            prime_rates=prime,
-        )
-        policy = HibernatorPolicy(hib_config)
-        results[adaptive] = run_single(trace, config, policy, goal_s=goal)
+    cache = bench_cache()
+    [base] = execute([RunSpec(trace, config, PolicySpec.named("base"))], cache=cache)
+    goal = slack_goal(SLACK, base)
+    modes = (False, True)
+    specs = [
+        RunSpec(trace, config, PolicySpec.named("hibernator", config=dataclasses.replace(
+            bench_hibernator_config(epoch_seconds=BASE_EPOCH_S), adaptive_epochs=adaptive,
+        )), goal_s=goal)
+        for adaptive in modes
+    ]
+    results = dict(zip(modes, execute(specs, jobs=bench_jobs(), cache=cache)))
     return base, goal, results
 
 

@@ -14,43 +14,40 @@ from __future__ import annotations
 import dataclasses
 
 from common import (
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     bench_oltp_trace,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.core.hibernator import HibernatorPolicy
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.traces.tracestats import per_extent_rates
 
 SCHEDULERS = ["fcfs", "sstf", "scan"]
 
 
 def run_all():
-    trace = bench_oltp_trace()
-    results = {}
-    bases = {}
-    for scheduler in SCHEDULERS:
-        config = dataclasses.replace(bench_array_config(), scheduler=scheduler)
-        base = run_single(trace, config, AlwaysOnPolicy())
-        goal = 2.0 * bases.setdefault("goal_base", base).mean_response_s
-        hib_config = dataclasses.replace(
-            bench_hibernator_config(), prime_rates=per_extent_rates(trace)
-        )
-        results[scheduler] = (
-            base,
-            run_single(trace, config, HibernatorPolicy(hib_config), goal_s=goal),
-        )
-    return bases["goal_base"], results
+    trace = TraceSpec.from_trace(bench_oltp_trace())
+    configs = [dataclasses.replace(bench_array_config(), scheduler=scheduler)
+               for scheduler in SCHEDULERS]
+    jobs, cache = bench_jobs(), bench_cache()
+    bases = execute([RunSpec(trace, config, PolicySpec.named("base")) for config in configs],
+                    jobs=jobs, cache=cache)
+    # Every scheduler is held to the FCFS Base's goal.
+    goal = slack_goal(SLACK, bases[0])
+    hib = PolicySpec.named("hibernator", config=bench_hibernator_config())
+    hibs = execute([RunSpec(trace, config, hib, goal_s=goal) for config in configs],
+                   jobs=jobs, cache=cache)
+    return bases[0], goal, dict(zip(SCHEDULERS, zip(bases, hibs)))
 
 
 def test_a5_scheduler(benchmark):
-    goal_base, results = run_once(benchmark, run_all)
-    goal = 2.0 * goal_base.mean_response_s
+    goal_base, goal, results = run_once(benchmark, run_all)
     rows = [
         [
             scheduler,

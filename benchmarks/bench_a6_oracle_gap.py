@@ -9,35 +9,34 @@ epoch from the *actual* upcoming rates) plus reconfiguration overhead
 
 from __future__ import annotations
 
-import dataclasses
-
 from common import (
     EPOCH_S,
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     bench_oltp_trace,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.core.hibernator import HibernatorPolicy
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.policies.oracle import OraclePolicy
-from repro.traces.tracestats import per_extent_rates
 
 
 def run_all():
-    trace = bench_oltp_trace()
+    trace = TraceSpec.from_trace(bench_oltp_trace())
     config = bench_array_config()
-    base = run_single(trace, config, AlwaysOnPolicy())
-    goal = 2.0 * base.mean_response_s
-    hib_config = dataclasses.replace(
-        bench_hibernator_config(), prime_rates=per_extent_rates(trace)
-    )
-    hibernator = run_single(trace, config, HibernatorPolicy(hib_config), goal_s=goal)
-    oracle = run_single(trace, config, OraclePolicy(epoch_seconds=EPOCH_S), goal_s=goal)
+    cache = bench_cache()
+    [base] = execute([RunSpec(trace, config, PolicySpec.named("base"))], cache=cache)
+    goal = slack_goal(SLACK, base)
+    hibernator, oracle = execute([
+        RunSpec(trace, config, PolicySpec.named("hibernator", config=bench_hibernator_config()),
+                goal_s=goal),
+        RunSpec(trace, config, PolicySpec.named("oracle", epoch_seconds=EPOCH_S), goal_s=goal),
+    ], jobs=bench_jobs(), cache=cache)
     return base, goal, hibernator, oracle
 
 

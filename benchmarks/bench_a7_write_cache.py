@@ -12,33 +12,35 @@ from __future__ import annotations
 import dataclasses
 
 from common import (
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     bench_oltp_trace,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.core.hibernator import HibernatorPolicy
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.traces.tracestats import per_extent_rates
+
+MODES = (False, True)
 
 
 def run_all():
-    trace = bench_oltp_trace()
-    results = {}
-    for cached in (False, True):
-        config = dataclasses.replace(bench_array_config(), write_cache=cached)
-        base = run_single(trace, config, AlwaysOnPolicy())
-        goal = 2.0 * base.mean_response_s
-        hib_config = dataclasses.replace(
-            bench_hibernator_config(), prime_rates=per_extent_rates(trace)
-        )
-        hib = run_single(trace, config, HibernatorPolicy(hib_config), goal_s=goal)
-        results[cached] = (base, goal, hib)
-    return results
+    trace = TraceSpec.from_trace(bench_oltp_trace())
+    configs = [dataclasses.replace(bench_array_config(), write_cache=cached)
+               for cached in MODES]
+    jobs, cache = bench_jobs(), bench_cache()
+    bases = execute([RunSpec(trace, config, PolicySpec.named("base")) for config in configs],
+                    jobs=jobs, cache=cache)
+    goals = [slack_goal(SLACK, base) for base in bases]
+    hib = PolicySpec.named("hibernator", config=bench_hibernator_config())
+    hibs = execute([RunSpec(trace, config, hib, goal_s=goal)
+                    for config, goal in zip(configs, goals)], jobs=jobs, cache=cache)
+    return dict(zip(MODES, zip(bases, goals, hibs)))
 
 
 def test_a7_write_cache(benchmark):

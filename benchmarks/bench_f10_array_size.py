@@ -8,13 +8,12 @@ array so per-disk load stays constant.
 
 from __future__ import annotations
 
-from common import OLTP_EXTENTS, bench_hibernator_config, emit
+from common import OLTP_EXTENTS, SLACK, bench_cache, bench_hibernator_config, bench_jobs, emit
 from conftest import run_once
 
-from repro.analysis.experiments import default_array_config, run_single
-from repro.analysis.parallel import PolicySpec
+from repro.analysis.experiments import default_array_config, slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_series
-from repro.policies.always_on import AlwaysOnPolicy
 from repro.traces.oltp import OltpConfig, generate_oltp
 
 SIZES = [4, 8, 16]
@@ -22,23 +21,26 @@ RATE_PER_DISK = 25.0
 
 
 def run_sweep():
-    points = []
-    for num_disks in SIZES:
-        trace = generate_oltp(OltpConfig(
+    runs = [
+        (TraceSpec.from_trace(generate_oltp(OltpConfig(
             duration=1200.0,
             rate=RATE_PER_DISK * num_disks,
             num_extents=OLTP_EXTENTS,
             seed=83,
-        ))
-        config = default_array_config(num_disks=num_disks,
-                                      num_extents=OLTP_EXTENTS, seed=84)
-        base = run_single(trace, config, AlwaysOnPolicy())
-        goal = 2.0 * base.mean_response_s
-        policy = PolicySpec.named("hibernator", config=bench_hibernator_config()).build(trace, config)[0]
-        result = run_single(trace, config, policy, goal_s=goal)
-        points.append((num_disks, result.energy_savings_vs(base),
-                       result.mean_response_s <= goal))
-    return points
+        ))), default_array_config(num_disks=num_disks, num_extents=OLTP_EXTENTS, seed=84))
+        for num_disks in SIZES
+    ]
+    jobs, cache = bench_jobs(), bench_cache()
+    bases = execute([RunSpec(trace, config, PolicySpec.named("base")) for trace, config in runs],
+                    jobs=jobs, cache=cache)
+    goals = [slack_goal(SLACK, base) for base in bases]
+    hib = PolicySpec.named("hibernator", config=bench_hibernator_config())
+    results = execute([RunSpec(trace, config, hib, goal_s=goal)
+                       for (trace, config), goal in zip(runs, goals)], jobs=jobs, cache=cache)
+    return [
+        (num_disks, result.energy_savings_vs(base), result.mean_response_s <= goal)
+        for num_disks, base, goal, result in zip(SIZES, bases, goals, results)
+    ]
 
 
 def test_f10_array_size(benchmark):

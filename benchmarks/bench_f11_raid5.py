@@ -12,34 +12,44 @@ from __future__ import annotations
 import dataclasses
 
 from common import (
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     bench_oltp_trace,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.core.hibernator import HibernatorPolicy
-from repro.policies.always_on import AlwaysOnPolicy
 from repro.traces.tracestats import per_extent_rates
+
+MODES = (False, True)
 
 
 def run_all():
     trace = bench_oltp_trace()
-    results = {}
-    for raid5 in (False, True):
-        config = dataclasses.replace(bench_array_config(), raid5=raid5)
-        base = run_single(trace, config, AlwaysOnPolicy())
-        goal = 2.0 * base.mean_response_s
-        hib_config = dataclasses.replace(
-            bench_hibernator_config(),
-            prime_rates=per_extent_rates(trace, write_weight=4.0 if raid5 else 1.0),
-        )
-        hib = run_single(trace, config, HibernatorPolicy(hib_config), goal_s=goal)
-        results[raid5] = (base, goal, hib)
-    return results
+    trace_spec = TraceSpec.from_trace(trace)
+    configs = [dataclasses.replace(bench_array_config(), raid5=raid5) for raid5 in MODES]
+    jobs, cache = bench_jobs(), bench_cache()
+    bases = execute([RunSpec(trace_spec, config, PolicySpec.named("base")) for config in configs],
+                    jobs=jobs, cache=cache)
+    goals = [slack_goal(SLACK, base) for base in bases]
+    # RAID-5 heat is primed in physical ops: each logical write costs four.
+    hib_configs = [
+        dataclasses.replace(bench_hibernator_config(),
+                            prime_rates=per_extent_rates(trace, write_weight=4.0))
+        if raid5 else bench_hibernator_config()
+        for raid5 in MODES
+    ]
+    hibs = execute([
+        RunSpec(trace_spec, config, PolicySpec.named("hibernator", config=hib_config), goal_s=goal)
+        for config, hib_config, goal in zip(configs, hib_configs, goals)
+    ], jobs=jobs, cache=cache)
+    return dict(zip(MODES, zip(bases, goals, hibs)))
 
 
 def test_f11_raid5(benchmark):

@@ -24,18 +24,20 @@ from __future__ import annotations
 import dataclasses
 
 from common import (
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     bench_oltp_trace,
     emit,
 )
 from conftest import run_once
 
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.core.hibernator import HibernatorPolicy
 from repro.faults.plan import DiskFailure, FaultPlan
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.sim.runner import ArraySimulation
 from repro.traces.tracestats import per_extent_rates
 
 #: Failure schedule for the sweep: the second failure lands well after
@@ -52,23 +54,28 @@ def _plan(num_failures: int) -> FaultPlan | None:
     ))
 
 
+FAILURES = (0, 1, 2)
+
+
 def run_all():
     trace = bench_oltp_trace()
+    trace_spec = TraceSpec.from_trace(trace)
     config = dataclasses.replace(bench_array_config(), raid5=True)
-
-    def run(policy, num_failures: int, goal=None):
-        sim = ArraySimulation(trace, config, policy, goal_s=goal,
-                              faults=_plan(num_failures))
-        return sim.run()
-
-    base = {n: run(AlwaysOnPolicy(), n) for n in (0, 1, 2)}
-    goal = 2.0 * base[0].mean_response_s
-    hib_config = dataclasses.replace(
+    jobs, cache = bench_jobs(), bench_cache()
+    base = dict(zip(FAILURES, execute([
+        RunSpec(trace_spec, config, PolicySpec.named("base"), faults=_plan(n))
+        for n in FAILURES
+    ], jobs=jobs, cache=cache)))
+    goal = slack_goal(SLACK, base[0])
+    # RAID-5 heat is primed in physical ops: each logical write costs four.
+    hib_policy = PolicySpec.named("hibernator", config=dataclasses.replace(
         bench_hibernator_config(),
         prime_rates=per_extent_rates(trace, write_weight=4.0),
-    )
-    hib = {n: run(HibernatorPolicy(hib_config), n, goal=goal)
-           for n in (0, 1, 2)}
+    ))
+    hib = dict(zip(FAILURES, execute([
+        RunSpec(trace_spec, config, hib_policy, goal_s=goal, faults=_plan(n))
+        for n in FAILURES
+    ], jobs=jobs, cache=cache)))
     return base, hib, goal
 
 

@@ -10,31 +10,31 @@ Hibernator gets at the same response-time goal (F3/F4).
 
 from __future__ import annotations
 
-from common import bench_array_config, bench_cello_trace, emit
+from common import SLACK, bench_array_config, bench_cache, bench_cello_trace, bench_jobs, emit
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.policies.tpm import TpmConfig, TpmPolicy, breakeven_seconds
+from repro.policies.tpm import breakeven_seconds
 
 MULTIPLES = [0.25, 0.5, 1.0, 2.0, 4.0]
 
 
 def run_sweep():
-    trace = bench_cello_trace()
+    trace = TraceSpec.from_trace(bench_cello_trace())
     config = bench_array_config()
-    base = run_single(trace, config, AlwaysOnPolicy())
-    goal = 2.0 * base.mean_response_s
-    rows = []
-    for multiple in MULTIPLES:
-        result = run_single(
-            trace, config,
-            TpmPolicy(TpmConfig(threshold_multiple=multiple)),
-            goal_s=goal,
-        )
-        rows.append((multiple, result.energy_savings_vs(base),
-                     result.mean_response_s, result.spinups))
+    cache = bench_cache()
+    [base] = execute([RunSpec(trace, config, PolicySpec.named("base"))], cache=cache)
+    goal = slack_goal(SLACK, base)
+    results = execute([
+        RunSpec(trace, config, PolicySpec.named("tpm", threshold_multiple=multiple), goal_s=goal)
+        for multiple in MULTIPLES
+    ], jobs=bench_jobs(), cache=cache)
+    rows = [
+        (multiple, result.energy_savings_vs(base), result.mean_response_s, result.spinups)
+        for multiple, result in zip(MULTIPLES, results)
+    ]
     return base, goal, rows
 
 

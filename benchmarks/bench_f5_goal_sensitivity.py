@@ -11,33 +11,34 @@ from __future__ import annotations
 
 from common import (
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     bench_oltp_trace,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
-from repro.analysis.parallel import PolicySpec
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_series
-from repro.policies.always_on import AlwaysOnPolicy
 
 SLACKS = [1.05, 1.25, 1.5, 2.0, 3.0, 4.0]
 
 
 def run_sweep():
-    trace = bench_oltp_trace()
+    trace = TraceSpec.from_trace(bench_oltp_trace())
     config = bench_array_config()
-    base = run_single(trace, config, AlwaysOnPolicy())
-    points = []
-    for slack in SLACKS:
-        goal = slack * base.mean_response_s
-        policy = PolicySpec.named("hibernator", config=bench_hibernator_config()).build(trace, config)[0]
-        result = run_single(trace, config, policy, goal_s=goal)
-        savings = result.energy_savings_vs(base)
-        meets = result.mean_response_s <= goal
-        points.append((slack, savings, meets))
-    return points
+    cache = bench_cache()
+    [base] = execute([RunSpec(trace, config, PolicySpec.named("base"))], cache=cache)
+    goals = [slack_goal(slack, base) for slack in SLACKS]
+    hib = PolicySpec.named("hibernator", config=bench_hibernator_config())
+    results = execute([RunSpec(trace, config, hib, goal_s=goal) for goal in goals],
+                      jobs=bench_jobs(), cache=cache)
+    return [
+        (slack, result.energy_savings_vs(base), result.mean_response_s <= goal)
+        for slack, goal, result in zip(SLACKS, goals, results)
+    ]
 
 
 def test_f5_goal_sensitivity(benchmark):

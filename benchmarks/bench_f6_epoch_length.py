@@ -19,16 +19,18 @@ the regime F9/A1 probe directly.
 from __future__ import annotations
 
 from common import (
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_hibernator_config,
+    bench_jobs,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
-from repro.analysis.parallel import PolicySpec
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.policies.always_on import AlwaysOnPolicy
 from repro.traces.cello import CelloConfig, generate_cello
 
 DAY_S = 3600.0  # drift period (one compressed "day")
@@ -45,24 +47,28 @@ def drifting_trace():
 
 
 def run_sweep():
-    trace = drifting_trace()
+    trace = TraceSpec.from_trace(drifting_trace())
     config = bench_array_config()
-    base = run_single(trace, config, AlwaysOnPolicy())
-    goal = 2.0 * base.mean_response_s
-    rows = []
-    for epoch_s in EPOCHS:
-        spec = PolicySpec.named("hibernator", config=bench_hibernator_config(epoch_seconds=epoch_s))
-        policy = spec.build(trace, config)[0]
-        result = run_single(trace, config, policy, goal_s=goal)
-        rows.append((
+    cache = bench_cache()
+    [base] = execute([RunSpec(trace, config, PolicySpec.named("base"))], cache=cache)
+    goal = slack_goal(SLACK, base)
+    results = execute([
+        RunSpec(trace, config, PolicySpec.named(
+            "hibernator", config=bench_hibernator_config(epoch_seconds=epoch_s),
+        ), goal_s=goal)
+        for epoch_s in EPOCHS
+    ], jobs=bench_jobs(), cache=cache)
+    return [
+        (
             epoch_s,
             result.energy_savings_vs(base),
             result.mean_response_s,
             goal,
             result.migration_extents,
             result.extras.get("boosts", 0.0),
-        ))
-    return rows
+        )
+        for epoch_s, result in zip(EPOCHS, results)
+    ]
 
 
 def test_f6_epoch_length(benchmark):

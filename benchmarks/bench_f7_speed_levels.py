@@ -8,29 +8,38 @@ of the benefit; more levels add diminishing returns (S6).
 
 from __future__ import annotations
 
-from common import bench_array_config, bench_hibernator_config, bench_oltp_trace, emit
+from common import (
+    SLACK,
+    bench_array_config,
+    bench_cache,
+    bench_hibernator_config,
+    bench_jobs,
+    bench_oltp_trace,
+    emit,
+)
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
-from repro.analysis.parallel import PolicySpec
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_series
-from repro.policies.always_on import AlwaysOnPolicy
 
 LEVELS = [1, 2, 3, 5]
 
 
 def run_sweep():
-    trace = bench_oltp_trace()
-    points = []
-    for levels in LEVELS:
-        config = bench_array_config(num_speed_levels=levels)
-        base = run_single(trace, config, AlwaysOnPolicy())
-        goal = 2.0 * base.mean_response_s
-        policy = PolicySpec.named("hibernator", config=bench_hibernator_config()).build(trace, config)[0]
-        result = run_single(trace, config, policy, goal_s=goal)
-        points.append((levels, result.energy_savings_vs(base),
-                       result.mean_response_s <= goal))
-    return points
+    trace = TraceSpec.from_trace(bench_oltp_trace())
+    configs = [bench_array_config(num_speed_levels=levels) for levels in LEVELS]
+    jobs, cache = bench_jobs(), bench_cache()
+    bases = execute([RunSpec(trace, config, PolicySpec.named("base")) for config in configs],
+                    jobs=jobs, cache=cache)
+    goals = [slack_goal(SLACK, base) for base in bases]
+    hib = PolicySpec.named("hibernator", config=bench_hibernator_config())
+    results = execute([RunSpec(trace, config, hib, goal_s=goal)
+                       for config, goal in zip(configs, goals)], jobs=jobs, cache=cache)
+    return [
+        (levels, result.energy_savings_vs(base), result.mean_response_s <= goal)
+        for levels, base, goal, result in zip(LEVELS, bases, goals, results)
+    ]
 
 
 def test_f7_speed_levels(benchmark):

@@ -13,39 +13,37 @@ import dataclasses
 
 from common import (
     CELLO_EPOCH_S,
+    SLACK,
     bench_array_config,
+    bench_cache,
     bench_cello_trace,
     bench_hibernator_config,
+    bench_jobs,
     emit,
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single
+from repro.analysis.experiments import slack_goal
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.analysis.report import format_table
-from repro.core.hibernator import HibernatorPolicy
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.traces.tracestats import per_extent_rates
 
 SCHEMES = ["shuffle", "sorted", "none"]
 
 
 def run_all():
     # Two compressed days with a fast-drifting working set.
-    trace = bench_cello_trace(days=2.0, seed=75)
+    trace = TraceSpec.from_trace(bench_cello_trace(days=2.0, seed=75))
     config = bench_array_config()
-    base = run_single(trace, config, AlwaysOnPolicy())
-    goal = 2.0 * base.mean_response_s
-    results = {}
-    for scheme in SCHEMES:
-        hib_config = dataclasses.replace(
-            bench_hibernator_config(epoch_seconds=CELLO_EPOCH_S),
-            migration=scheme,
-            prime_rates=per_extent_rates(trace),
-        )
-        results[scheme] = run_single(
-            trace, config, HibernatorPolicy(hib_config), goal_s=goal
-        )
-    return base, goal, results
+    cache = bench_cache()
+    [base] = execute([RunSpec(trace, config, PolicySpec.named("base"))], cache=cache)
+    goal = slack_goal(SLACK, base)
+    results = execute([
+        RunSpec(trace, config, PolicySpec.named("hibernator", config=dataclasses.replace(
+            bench_hibernator_config(epoch_seconds=CELLO_EPOCH_S), migration=scheme,
+        )), goal_s=goal)
+        for scheme in SCHEMES
+    ], jobs=bench_jobs(), cache=cache)
+    return base, goal, dict(zip(SCHEMES, results))
 
 
 def test_f8_migration(benchmark):

@@ -9,6 +9,12 @@ Absolute joules therefore differ from the paper; the *shape* assertions
 
 Results are printed and also written to ``benchmarks/results/<id>.txt``
 so they survive pytest's output capture.
+
+Every simulation is a :class:`~repro.analysis.parallel.RunSpec` run by
+``execute(specs, jobs=bench_jobs(), cache=bench_cache())`` (F1–F4 through
+``run_comparison``), Base first because ``slack_goal`` sets the goal from
+it. Only A1 and F9, which read the live policy after the run, build
+``ArraySimulation`` directly.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ CELLO_EPOCH_S = CELLO_DAY_LENGTH_S / 12.0
 
 
 def bench_jobs() -> int:
-    """Worker processes per comparison (``REPRO_BENCH_JOBS``, default 1).
+    """Worker processes per ``execute`` call (``REPRO_BENCH_JOBS``, default 1).
 
     Results are identical for any value (runs are pure functions of
     their specs); only wall-clock time changes.

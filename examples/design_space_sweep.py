@@ -8,39 +8,30 @@ an OLTP-like workload and prints the savings matrix.
 Run:  python examples/design_space_sweep.py
 """
 
-from repro import (
-    AlwaysOnPolicy,
-    HibernatorConfig,
-    HibernatorPolicy,
-    OltpConfig,
-    default_array_config,
-    generate_oltp,
-    run_single,
-)
+from repro import OltpConfig, default_array_config, generate_oltp
+from repro.analysis import PolicySpec, RunSpec, TraceSpec, execute, run_spec, slack_goal
 from repro.analysis.report import format_table
-from repro.traces.tracestats import per_extent_rates
 
 SLACKS = [1.5, 2.0, 3.0]
 LEVELS = [1, 2, 3, 5]
 
 
 def main() -> None:
-    trace = generate_oltp(OltpConfig(duration=600.0, rate=160.0,
-                                     num_extents=800, seed=6))
-    prime = per_extent_rates(trace)
+    trace = TraceSpec.from_trace(generate_oltp(OltpConfig(
+        duration=600.0, rate=160.0, num_extents=800, seed=6)))
+    hibernator = PolicySpec.named("hibernator", epoch_seconds=300.0)
 
     rows = []
     for levels in LEVELS:
         config = default_array_config(num_disks=8, num_extents=800,
                                       num_speed_levels=levels)
-        base = run_single(trace, config, AlwaysOnPolicy())
+        base = run_spec(RunSpec(trace, config, PolicySpec.named("base")))
+        goals = [slack_goal(slack, base) for slack in SLACKS]
+        # The cells are independent runs: execute(..., jobs=N) would fan
+        # them out over N processes and give the same numbers.
+        results = execute([RunSpec(trace, config, hibernator, goal_s=goal) for goal in goals])
         row = [f"{levels}"]
-        for slack in SLACKS:
-            goal = slack * base.mean_response_s
-            policy = HibernatorPolicy(HibernatorConfig(
-                epoch_seconds=300.0, prime_rates=prime,
-            ))
-            result = run_single(trace, config, policy, goal_s=goal)
+        for goal, result in zip(goals, results):
             savings = 100.0 * result.energy_savings_vs(base)
             met = result.mean_response_s <= goal
             row.append(f"{savings:5.1f} %{'' if met else ' (!)'}")

@@ -10,14 +10,13 @@ Run:  python examples/fileserver_diurnal.py
 """
 
 from repro import (
-    AlwaysOnPolicy,
     CelloConfig,
     HibernatorConfig,
     HibernatorPolicy,
     default_array_config,
     generate_cello,
-    run_single,
 )
+from repro.analysis import PolicySpec, RunSpec, TraceSpec, run_spec, slack_goal
 from repro.analysis.report import format_table
 from repro.sim.runner import ArraySimulation
 from repro.traces.tracestats import per_extent_rates
@@ -33,9 +32,11 @@ def main() -> None:
     ))
     config = default_array_config(num_disks=8, num_extents=800)
 
-    base = run_single(trace, config, AlwaysOnPolicy())
-    goal = 2.0 * base.mean_response_s
+    base = run_spec(RunSpec(TraceSpec.from_trace(trace), config, PolicySpec.named("base")))
+    goal = slack_goal(2.0, base)
 
+    # Built directly (not through a RunSpec) to read the policy's epoch
+    # decisions after the run.
     policy = HibernatorPolicy(HibernatorConfig(
         epoch_seconds=DAY_S / 12.0,
         prime_rates=per_extent_rates(trace),

@@ -9,14 +9,14 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    AlwaysOnPolicy,
+    ArraySimulation,
     HibernatorConfig,
     HibernatorPolicy,
     OltpConfig,
     default_array_config,
     generate_oltp,
-    run_single,
 )
+from repro.analysis import PolicySpec, RunSpec, TraceSpec, run_spec, slack_goal
 from repro.traces.tracestats import per_extent_rates
 
 
@@ -29,20 +29,21 @@ def main() -> None:
 
     # 1. Baseline: every disk at full speed. Its mean response time
     #    defines the performance contract.
-    base = run_single(trace, config, AlwaysOnPolicy())
-    goal = 2.0 * base.mean_response_s
+    base = run_spec(RunSpec(TraceSpec.from_trace(trace), config, PolicySpec.named("base")))
+    goal = slack_goal(2.0, base)
     print(f"baseline: {base.energy_joules / 1e3:.1f} kJ, "
           f"mean response {base.mean_response_s * 1e3:.2f} ms")
     print(f"goal: {goal * 1e3:.2f} ms (2x baseline)")
 
     # 2. Hibernator: coarse-grained speed tiers + migration + boost.
     #    Priming with the trace's access rates starts it in steady state
-    #    (as if it had been running before the measurement window).
+    #    (as if it had been running before the measurement window). The
+    #    simulation is built directly to read the policy's epoch log after.
     policy = HibernatorPolicy(HibernatorConfig(
         epoch_seconds=300.0,
         prime_rates=per_extent_rates(trace),
     ))
-    result = run_single(trace, config, policy, goal_s=goal)
+    result = ArraySimulation(trace, config, policy, goal_s=goal).run()
 
     savings = result.energy_savings_vs(base)
     print(f"hibernator: {result.energy_joules / 1e3:.1f} kJ, "

@@ -26,9 +26,7 @@ Package map (details in DESIGN.md):
 from repro.analysis.experiments import (
     ComparisonResult,
     default_array_config,
-    derive_goal,
     run_comparison,
-    run_single,
 )
 from repro.core.guarantee import BoostController, GuaranteeConfig
 from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
@@ -54,9 +52,7 @@ __all__ = [
     "__version__",
     "ComparisonResult",
     "default_array_config",
-    "derive_goal",
     "run_comparison",
-    "run_single",
     "BoostController",
     "GuaranteeConfig",
     "HibernatorConfig",

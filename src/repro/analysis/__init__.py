@@ -1,16 +1,16 @@
 """Experiment harness and reporting.
 
 * :mod:`repro.analysis.experiments` -- run policy comparisons the way
-  the paper does: Base first (defines the goal), then every scheme on
-  the identical trace and array.
-* :mod:`repro.analysis.parallel` -- picklable run specs, process fan-out
-  and the determinism guarantee behind ``jobs=``.
+  the paper does: Base first (its mean response sets the goal through
+  ``slack_goal``), then every scheme on the identical trace and array.
+* :mod:`repro.analysis.parallel` -- picklable run specs (``RunSpec``, the
+  one way to describe a run), process fan-out and the determinism
+  guarantee behind ``jobs=``.
 * :mod:`repro.analysis.cache` -- on-disk memoization of run results
   keyed by spec content plus a code-version tag.
 * :mod:`repro.analysis.energy` -- unit helpers and savings arithmetic.
 * :mod:`repro.analysis.report` -- plain-text tables/series formatting
   shared by the benchmarks and examples.
-* :mod:`repro.analysis.sweeps` -- one-dimensional parameter sweeps.
 """
 
 from repro.analysis.cache import CODE_VERSION, ResultCache, content_key
@@ -18,29 +18,25 @@ from repro.analysis.energy import joules_to_kwh, savings_fraction
 from repro.analysis.experiments import (
     ComparisonResult,
     default_array_config,
-    derive_goal,
     run_comparison,
-    run_single,
+    slack_goal,
 )
 from repro.analysis.parallel import (
     PolicySpec,
     RunSpec,
     TraceSpec,
     execute,
-    execute_one,
     run_spec,
 )
 from repro.analysis.report import format_count, format_duration, format_series, format_table
-from repro.analysis.sweeps import SweepPoint, sweep
 
 __all__ = [
     "joules_to_kwh",
     "savings_fraction",
     "ComparisonResult",
     "default_array_config",
-    "derive_goal",
     "run_comparison",
-    "run_single",
+    "slack_goal",
     "CODE_VERSION",
     "ResultCache",
     "content_key",
@@ -48,12 +44,9 @@ __all__ = [
     "RunSpec",
     "TraceSpec",
     "execute",
-    "execute_one",
     "run_spec",
     "format_table",
     "format_series",
     "format_count",
     "format_duration",
-    "SweepPoint",
-    "sweep",
 ]

@@ -109,10 +109,6 @@ class ResultCache:
         """Content key of an arbitrary spec object."""
         return content_key(spec, version=self.version)
 
-    def key_for_call(self, tag: str, value: Any) -> str:
-        """Key for a named-function call (used by generic sweeps)."""
-        return content_key({"call": tag, "value": value}, version=self.version)
-
     # -- storage -------------------------------------------------------------
 
     def _path(self, key: str) -> Path:

@@ -24,16 +24,12 @@ from repro.analysis.parallel import (
     TraceSpec,
     comparison_specs,
     execute,
-    execute_one,
-    simulation_class,
 )
 from repro.analysis.report import format_count, format_duration
 from repro.core.hibernator import HibernatorConfig
 from repro.disks.array import ArrayConfig
 from repro.disks.specs import ultrastar_36z15
 from repro.faults.plan import FaultPlan
-from repro.policies.always_on import AlwaysOnPolicy
-from repro.policies.base import PowerPolicy
 from repro.sim.runner import SimulationResult
 from repro.traces.model import Trace
 
@@ -68,37 +64,6 @@ def default_array_config(
     )
 
 
-def run_single(
-    trace: Trace,
-    array_config: ArrayConfig,
-    policy: PowerPolicy,
-    goal_s: float | None = None,
-    window_s: float | None = None,
-    observe: bool = False,
-    faults: "FaultPlan | None" = None,
-    engine: str = "scalar",
-) -> SimulationResult:
-    """One scheme on one trace (fresh simulation per call).
-
-    ``observe=True`` collects the structured event trace
-    (:mod:`repro.obs`) into ``result.events``; metrics are identical
-    either way. ``faults`` injects a declarative fault plan
-    (:mod:`repro.faults`); None or an empty plan changes nothing.
-    ``engine`` picks the simulation core (``"scalar"``/``"batch"``);
-    results are byte-identical either way.
-    """
-    sim = simulation_class(engine)(
-        trace=trace,
-        array_config=array_config,
-        policy=policy,
-        goal_s=goal_s,
-        window_s=window_s,
-        observe=observe,
-        faults=faults,
-    )
-    return sim.run()
-
-
 def slack_goal(slack: float, base: SimulationResult | None = None) -> float:
     """Check a goal slack and return the goal it sets over ``base``.
 
@@ -114,28 +79,6 @@ def slack_goal(slack: float, base: SimulationResult | None = None) -> float:
     if base.mean_response_s <= 0:
         raise ValueError("Base run produced no requests; cannot derive a goal")
     return slack * base.mean_response_s
-
-
-def derive_goal(
-    trace: Trace,
-    array_config: ArrayConfig,
-    slack: float = 1.5,
-    observe: bool = False,
-    faults: "FaultPlan | None" = None,
-    engine: str = "scalar",
-) -> tuple[float, SimulationResult]:
-    """Run Base and derive the response-time goal from its mean.
-
-    Returns ``(goal_s, base_result)``; ``slack`` is the paper's
-    "response-time limit multiplier" (how much degradation the operator
-    tolerates in exchange for energy savings). When ``faults`` is set,
-    Base runs under the same fault plan as the schemes it anchors, so
-    the goal reflects degraded-mode service times.
-    """
-    slack_goal(slack)
-    base = run_single(trace, array_config, AlwaysOnPolicy(), observe=observe,
-                      faults=faults, engine=engine)
-    return slack_goal(slack, base), base
 
 
 @dataclass
@@ -245,11 +188,11 @@ def run_comparison(
     """
     slack_goal(slack)
     trace_spec = TraceSpec.from_trace(trace)
-    base_result = execute_one(
-        RunSpec(trace=trace_spec, array=array_config, policy=PolicySpec.named("base"),
-                observe=observe, faults=faults, engine=engine),
+    base_result = execute(
+        [RunSpec(trace=trace_spec, array=array_config, policy=PolicySpec.named("base"),
+                 window_s=window_s, observe=observe, faults=faults, engine=engine)],
         cache=cache,
-    )
+    )[0]
     goal_s = slack_goal(slack, base_result)
     comparison = ComparisonResult(goal_s=goal_s, slack=slack)
     comparison.results["Base"] = base_result

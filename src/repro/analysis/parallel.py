@@ -226,8 +226,22 @@ class PolicySpec:
 
     @classmethod
     def named(cls, name: str, **params: Any) -> "PolicySpec":
+        """Spec for factory ``name``: either config fields as ``params``
+        or a whole ``config=`` (plus Hibernator's ``prime``), never both.
+
+        Mixing them would let ``config=`` silently win, and Base takes no
+        params at all, so both mistakes raise here, before any run.
+        """
         if name not in POLICY_FACTORIES:
             raise ValueError(f"unknown policy {name!r}; known: {sorted(POLICY_FACTORIES)}")
+        if name == "base" and params:
+            raise ValueError(f"policy 'base' takes no params, got {sorted(params)}")
+        if "config" in params:
+            factory_params = {"config", "prime"} if name == "hibernator" else {"config"}
+            mixed = set(params) - factory_params
+            if mixed:
+                raise ValueError(f"policy {name!r}: config= sets every field, so "
+                                 f"{sorted(mixed)} would be ignored; pass one or the other")
         return cls(name=name, params=params)
 
     def build(self, trace: Trace, array_config: ArrayConfig) -> tuple[PowerPolicy, ArrayConfig]:
@@ -347,31 +361,6 @@ def execute(
             if cache is not None:
                 cache.put(keys[i], result)
     return results
-
-
-def execute_one(spec: RunSpec, cache: ResultCache | None = None) -> "SimulationResult":
-    """Single-spec convenience wrapper around :func:`execute`."""
-    return execute([spec], jobs=1, cache=cache)[0]
-
-
-def map_parallel(
-    fn: Callable[[Any], Any],
-    values: Sequence[Any],
-    jobs: int = 1,
-) -> list[Any]:
-    """Order-preserving map over ``values`` with optional process fan-out.
-
-    ``fn`` must be picklable (a module-level function or a
-    ``functools.partial`` of one) when ``jobs > 1``. Used by
-    :func:`repro.analysis.sweeps.sweep` for arbitrary per-point callables
-    that are not expressible as :class:`RunSpec`\\ s.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    if jobs == 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
-        return list(pool.map(fn, values))
 
 
 def comparison_specs(

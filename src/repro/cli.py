@@ -43,48 +43,43 @@ from typing import Sequence
 from repro.analysis.experiments import (
     ComparisonResult,
     default_array_config,
-    derive_goal,
     run_comparison,
     slack_goal,
 )
 from repro.analysis.parallel import (
+    ENGINE_NAMES,
     POLICY_FACTORIES,
+    TRACE_GENERATORS,
     PolicySpec,
     RunSpec,
     TraceSpec,
     execute,
-    execute_one,
     run_spec,
 )
 from repro.analysis.report import format_kv, format_series, format_table
 from repro.core.hibernator import HibernatorConfig
 from repro.fleet.spec import PARTITIONER_NAMES
+from repro.serve.protocol import COMMANDS
 from repro.sim.runner import SimulationResult
-from repro.traces.cello import CelloConfig, generate_cello
+from repro.traces.cello import CelloConfig
+from repro.traces.ingest import INGEST_FORMATS
 from repro.traces.io import load_trace, save_trace
 from repro.traces.model import Trace
-from repro.traces.oltp import OltpConfig, generate_oltp
+from repro.traces.oltp import OltpConfig
 from repro.traces.synthetic import (
     FlashCrowdConfig,
     MultiTenantConfig,
     SyntheticConfig,
     WriteBurstConfig,
-    generate_flash_crowd,
-    generate_multi_tenant,
-    generate_synthetic,
-    generate_write_burst,
 )
 from repro.traces.tracestats import compute_trace_stats
 
 POLICY_NAMES = tuple(POLICY_FACTORIES)
-CTL_COMMANDS = ("ping", "status", "set-goal", "inject-fault", "force-boost", "shutdown")
-TRACE_KINDS = ("oltp", "cello", "synthetic", "flashcrowd", "multitenant", "writeburst")
-INGEST_FORMAT_NAMES = ("msr", "blkparse", "csv")
 
 
 def _add_trace_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", help="trace file (from gen-trace); omit to generate inline")
-    parser.add_argument("--kind", choices=TRACE_KINDS, default="oltp",
+    parser.add_argument("--kind", choices=tuple(TRACE_GENERATORS), default="oltp",
                         help="inline generator kind (default: oltp)")
     parser.add_argument("--duration", type=float, default=900.0,
                         help="inline trace duration in seconds")
@@ -238,20 +233,10 @@ def _inline_config(kind: str, duration: float, rate: float, extents: int, seed: 
                            num_extents=extents, seed=seed)
 
 
-_GENERATORS = {
-    "oltp": generate_oltp,
-    "cello": generate_cello,
-    "synthetic": generate_synthetic,
-    "flashcrowd": generate_flash_crowd,
-    "multitenant": generate_multi_tenant,
-    "writeburst": generate_write_burst,
-}
-
-
 def _generate(args: argparse.Namespace) -> Trace:
     config = _inline_config(args.kind, args.duration, args.rate,
                             args.extents, args.seed)
-    return _GENERATORS[args.kind](config)
+    return TraceSpec.from_generator(args.kind, config).build()
 
 
 def _array_config(args: argparse.Namespace, num_extents: int):
@@ -389,13 +374,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace = _resolve_trace(args)
     config = _array_config(args, trace.num_extents)
     faults = _load_faults(args)
+    trace_spec = TraceSpec.from_trace(trace)
     base = None
     goal = None
     if args.policy != "base":
-        goal, base = derive_goal(trace, config, args.slack, faults=faults,
-                                 engine=args.engine)
+        base = run_spec(RunSpec(trace=trace_spec, array=config,
+                                policy=PolicySpec.named("base"),
+                                faults=faults, engine=args.engine))
+        goal = slack_goal(args.slack, base)
     result = run_spec(RunSpec(
-        trace=TraceSpec.from_trace(trace), array=config,
+        trace=trace_spec, array=config,
         policy=_policy_spec(args.policy, args), goal_s=goal,
         observe=bool(args.trace_out), faults=faults, engine=args.engine,
     ))
@@ -454,11 +442,11 @@ def cmd_sweep_slack(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
     observe = bool(args.trace_out)
     trace_spec = TraceSpec.from_trace(trace)
-    base = execute_one(
-        RunSpec(trace=trace_spec, array=config, policy=PolicySpec.named("base"),
-                observe=observe),
+    base = execute(
+        [RunSpec(trace=trace_spec, array=config, policy=PolicySpec.named("base"),
+                 observe=observe)],
         cache=cache,
-    )
+    )[0]
     specs = [
         RunSpec(
             trace=trace_spec,
@@ -867,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prime", dest="prime", action="store_false",
                    help="skip heat priming (start with an observation epoch)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--engine", choices=("scalar", "batch"), default="scalar",
+    p.add_argument("--engine", choices=ENGINE_NAMES, default="scalar",
                    help="simulation core: scalar event loop or the batched "
                         "core (byte-identical results, faster replay)")
     _add_faults_option(p)
@@ -884,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="shuffle")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--csv", help="write per-scheme CSV to this path")
-    p.add_argument("--engine", choices=("scalar", "batch"), default="scalar",
+    p.add_argument("--engine", choices=ENGINE_NAMES, default="scalar",
                    help="simulation core: scalar event loop or the batched "
                         "core (byte-identical results, faster replay)")
     _add_faults_option(p)
@@ -940,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON fleet fault plan (see docs/fleet.md): "
                              "common faults, per-array plans, correlated "
                              "batch failures")
-        fp.add_argument("--engine", choices=("scalar", "batch"),
+        fp.add_argument("--engine", choices=ENGINE_NAMES,
                         default="scalar",
                         help="per-array simulation core (byte-identical "
                              "results, faster replay)")
@@ -1011,8 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "the daemon's JSON response; exits 1 when the daemon "
                     "is unreachable or refuses the command.",
     )
-    p.add_argument("ctl_command", choices=CTL_COMMANDS, metavar="command",
-                   help=f"one of: {', '.join(CTL_COMMANDS)}")
+    p.add_argument("ctl_command", choices=COMMANDS, metavar="command",
+                   help=f"one of: {', '.join(COMMANDS)}")
     p.add_argument("--control", required=True, help="daemon control socket path")
     p.add_argument("--goal-ms", type=float, default=None,
                    help="set-goal: new goal in ms")
@@ -1057,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "line).",
     )
     tp.add_argument("source", help="trace file to import (.gz transparently)")
-    tp.add_argument("--format", required=True, choices=INGEST_FORMAT_NAMES,
+    tp.add_argument("--format", required=True, choices=tuple(INGEST_FORMATS),
                     help="source format")
     tp.add_argument("-o", "--output", required=True,
                     help="native trace output path (.csv or .csv.gz)")
@@ -1173,7 +1161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-golden", metavar="PATH",
                    help="run the golden scenarios and write their result "
                         "digests to PATH (regenerates the identity pins)")
-    p.add_argument("--engine", choices=("scalar", "batch"), default="scalar",
+    p.add_argument("--engine", choices=ENGINE_NAMES, default="scalar",
                    help="simulation core to benchmark or profile")
     p.add_argument("--list", action="store_true",
                    help="list the selected scenarios and exit")

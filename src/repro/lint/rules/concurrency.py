@@ -11,7 +11,7 @@ boundaries hold, and each has a way of eroding silently:
   (``_cmd_*`` handlers, the ``_ingest*`` path) and other mutators
   (delegation); anything else needs an explicit, reasoned suppression.
 * **CONC002** — arguments reaching a process fan-out
-  (``analysis/parallel.execute``/``map_parallel``) or stored on a
+  (``analysis/parallel.execute``) or stored on a
   ``FleetSpec`` cross a pickle boundary. Lambdas and function-local
   ``def``s are unpicklable, and the error surfaces only at fan-out
   time on a worker; this rule catches them at the call/construction
@@ -112,7 +112,7 @@ def check_picklable_fanout(
         if not isinstance(node, ast.Call):
             continue
         name = bare_call_name(node)
-        if name in ("execute", "map_parallel"):
+        if name == "execute":
             boundary = f"{name}() fans out to worker processes"
         elif name is not None and (name == "FleetSpec" or name.endswith("FleetSpec")):
             boundary = f"{name} fields cross the process-pool pickle boundary"

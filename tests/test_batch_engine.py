@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import default_array_config, run_single
+from repro.analysis.experiments import default_array_config
 from repro.analysis.parallel import (
     ENGINE_NAMES,
     PolicySpec,
@@ -156,9 +156,9 @@ def _random_case(seed: int, shape: str, fail_at: float | None):
 def test_property_batch_matches_scalar_serial(seed, shape, goal, fail_at):
     trace, config, faults = _random_case(seed, shape, fail_at)
     digests = {
-        engine: result_digest(run_single(
-            trace, config, AlwaysOnPolicy(), goal_s=goal, faults=faults,
-            engine=engine))
+        engine: result_digest(run_spec(RunSpec(
+            trace=TraceSpec.from_trace(trace), array=config, policy=PolicySpec.named("base"),
+            goal_s=goal, faults=faults, engine=engine)))
         for engine in ENGINE_NAMES
     }
     assert digests["batch"] == digests["scalar"]

@@ -108,11 +108,6 @@ class TestResultCache:
         cache.put(cache.key_for("a"), list(range(100)))
         assert cache.size_bytes() > 0
 
-    def test_key_for_call_distinguishes_tags(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.key_for_call("f", 1) != cache.key_for_call("g", 1)
-        assert cache.key_for_call("f", 1) != cache.key_for_call("f", 2)
-
 
 # -- cache-key completeness audit --------------------------------------------
 #

@@ -8,16 +8,18 @@ from repro.analysis.energy import joules_to_kwh, mean_watts, savings_fraction
 from repro.analysis.experiments import (
     ComparisonResult,
     default_array_config,
-    derive_goal,
     run_comparison,
-    run_single,
+    slack_goal,
 )
-from repro.analysis.parallel import TraceSpec, comparison_specs
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, comparison_specs, run_spec
 from repro.analysis.report import format_kv, format_series, format_table
-from repro.analysis.sweeps import series, sweep
 from repro.core.hibernator import HibernatorConfig
-from repro.policies.always_on import AlwaysOnPolicy
 from tests.conftest import poisson_trace
+
+
+def base_run(trace, config, **run_options):
+    return run_spec(RunSpec(trace=TraceSpec.from_trace(trace), array=config,
+                            policy=PolicySpec.named("base"), **run_options))
 
 
 class TestEnergyHelpers:
@@ -51,22 +53,26 @@ class TestDefaultConfig:
 
 
 class TestDeriveGoal:
+    """The goal from Base: run Base through ``run_spec``, then ``slack_goal``."""
+
     def test_goal_is_slack_times_base(self, small_config):
-        trace = poisson_trace(rate=20.0, duration=30.0, seed=40)
-        goal, base = derive_goal(trace, small_config, slack=2.0)
-        assert goal == pytest.approx(2.0 * base.mean_response_s)
+        base = base_run(poisson_trace(rate=20.0, duration=30.0, seed=40), small_config)
         assert base.policy_name == "Base"
+        assert slack_goal(2.0, base) == pytest.approx(2.0 * base.mean_response_s)
 
     def test_slack_below_one_rejected(self, small_config):
-        trace = poisson_trace(rate=20.0, duration=10.0, seed=40)
-        with pytest.raises(ValueError):
-            derive_goal(trace, small_config, slack=0.9)
+        with pytest.raises(ValueError, match="unmeetable"):
+            slack_goal(0.9)
+        base = base_run(poisson_trace(rate=20.0, duration=10.0, seed=40), small_config)
+        with pytest.raises(ValueError, match="unmeetable"):
+            slack_goal(0.9, base)
 
     def test_empty_trace_rejected(self, small_config):
         from repro.traces.model import TraceBuilder
 
-        with pytest.raises(ValueError):
-            derive_goal(TraceBuilder("e", 80).build(), small_config)
+        base = base_run(TraceBuilder("e", 80).build(), small_config)
+        with pytest.raises(ValueError, match="no requests"):
+            slack_goal(1.5, base)
 
 
 class TestComparison:
@@ -97,9 +103,19 @@ class TestComparison:
         assert len(counts) == 1
 
 
-def test_run_single_passes_window(small_config):
-    trace = poisson_trace(rate=20.0, duration=30.0, seed=42)
-    result = run_single(trace, small_config, AlwaysOnPolicy(), window_s=10.0)
+def test_comparison_window_samples_every_scheme_base_included():
+    config = default_array_config(num_disks=4, num_extents=80, seed=7)
+    trace = poisson_trace(rate=30.0, duration=120.0, seed=41)
+    comparison = run_comparison(trace, config, slack=2.0, window_s=10.0,
+                                hibernator_config=HibernatorConfig(epoch_seconds=60.0))
+    counts = {name: len(r.speed_samples) for name, r in comparison.results.items()}
+    assert counts["Base"] > 0
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_run_spec_passes_window(small_config):
+    result = base_run(poisson_trace(rate=20.0, duration=30.0, seed=42), small_config,
+                      window_s=10.0)
     assert result.latency_windows
 
 
@@ -139,9 +155,3 @@ class TestReport:
         out = format_kv("Disk", [("rpm", "15000"), ("capacity", "36 GB")])
         assert "rpm" in out and "36 GB" in out
 
-
-class TestSweep:
-    def test_sweep_collects_points(self):
-        points = sweep([1, 2, 3], lambda v: {"double": 2.0 * v})
-        assert [p.value for p in points] == [1.0, 2.0, 3.0]
-        assert series(points, "double") == [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]

@@ -8,16 +8,16 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import run_comparison, run_single
+from repro.analysis.experiments import run_comparison
 from repro.analysis.export import (
     comparison_to_dict,
     result_to_dict,
     write_comparison_csv,
     write_json,
 )
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, run_spec
 from repro.cli import main
 from repro.core.hibernator import HibernatorConfig
-from repro.policies.always_on import AlwaysOnPolicy
 from tests.conftest import poisson_trace
 
 
@@ -29,7 +29,8 @@ def result():
     config = ArrayConfig(num_disks=4, spec=make_multispeed_spec(5),
                          num_extents=80, deterministic_latency=True, seed=7)
     trace = poisson_trace(rate=20.0, duration=30.0, seed=70)
-    return run_single(trace, config, AlwaysOnPolicy(), goal_s=0.02, window_s=10.0)
+    return run_spec(RunSpec(trace=TraceSpec.from_trace(trace), array=config,
+                            policy=PolicySpec.named("base"), goal_s=0.02, window_s=10.0))
 
 
 def test_result_to_dict_is_json_safe(result):

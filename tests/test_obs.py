@@ -15,13 +15,15 @@ Three properties matter and are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pickle
 
 import pytest
 
-from repro.analysis.experiments import run_comparison, run_single
-from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
+from repro.analysis.experiments import run_comparison
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute, run_spec
+from repro.core.hibernator import HibernatorConfig
 from repro.obs.events import (
     EVENT_TYPES,
     BoostEnter,
@@ -37,14 +39,16 @@ from repro.obs.events import (
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
 from repro.obs.summary import reconcile, render_run, render_runs
 from repro.obs.tracelog import TraceLog, read_jsonl, split_runs, write_jsonl
-from repro.policies.always_on import AlwaysOnPolicy
 from tests.conftest import poisson_trace
+
+#: Unprimed 30 s Hibernator: epochs start from an empty heat record.
+HIBERNATOR = PolicySpec.named("hibernator", epoch_seconds=30.0, prime=False)
 
 
 def observed_hibernator_run(small_config, goal_s=0.2, seed=11):
     trace = poisson_trace(rate=30.0, duration=120.0, seed=seed)
-    policy = HibernatorPolicy(HibernatorConfig(epoch_seconds=30.0))
-    return run_single(trace, small_config, policy, goal_s=goal_s, observe=True)
+    return run_spec(RunSpec(trace=TraceSpec.from_trace(trace), array=small_config,
+                            policy=HIBERNATOR, goal_s=goal_s, observe=True))
 
 
 class TestEvents:
@@ -264,17 +268,17 @@ class TestMetricsRegistry:
 class TestObservedRuns:
     def test_disabled_by_default_and_no_events(self, small_config):
         trace = poisson_trace(rate=20.0, duration=60.0, seed=5)
-        result = run_single(trace, small_config, AlwaysOnPolicy())
+        result = run_spec(RunSpec(trace=TraceSpec.from_trace(trace), array=small_config,
+                                  policy=PolicySpec.named("base")))
         assert result.events == []
 
     def test_observe_does_not_change_metrics(self, small_config):
         """The tier-1 guarantee: tracing must never perturb the physics."""
         trace = poisson_trace(rate=30.0, duration=120.0, seed=11)
-        policy_cfg = HibernatorConfig(epoch_seconds=30.0)
-        plain = run_single(trace, small_config, HibernatorPolicy(policy_cfg),
-                           goal_s=0.2)
-        observed = run_single(trace, small_config, HibernatorPolicy(policy_cfg),
-                              goal_s=0.2, observe=True)
+        spec = RunSpec(trace=TraceSpec.from_trace(trace), array=small_config,
+                       policy=HIBERNATOR, goal_s=0.2)
+        plain = run_spec(spec)
+        observed = run_spec(dataclasses.replace(spec, observe=True))
         assert observed.events and not plain.events
         for field in ("num_requests", "failed_requests", "energy_joules",
                       "mean_response_s", "spinups", "speed_changes",
@@ -344,20 +348,18 @@ class TestObservedRuns:
 
     def test_cache_round_trip_preserves_events(self, small_config, tmp_path):
         from repro.analysis.cache import ResultCache
-        from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute_one
 
         trace = poisson_trace(rate=20.0, duration=60.0, seed=9)
         cache = ResultCache(tmp_path / "cache")
         spec = RunSpec(trace=TraceSpec.from_trace(trace), array=small_config,
                        policy=PolicySpec.named("base"), observe=True)
-        cold = execute_one(spec, cache=cache)
-        warm = execute_one(spec, cache=cache)
+        [cold] = execute([spec], cache=cache)
+        [warm] = execute([spec], cache=cache)
         assert cache.hits == 1
         assert warm.events == cold.events and warm.events
 
     def test_observe_flag_changes_cache_key(self, small_config, tmp_path):
         from repro.analysis.cache import ResultCache
-        from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec
 
         trace_spec = TraceSpec.from_trace(poisson_trace(rate=20.0, duration=60.0, seed=9))
         cache = ResultCache(tmp_path / "cache")

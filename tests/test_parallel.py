@@ -15,17 +15,19 @@ from repro.analysis.cache import ResultCache, content_key
 from repro.analysis.experiments import default_array_config, run_comparison
 from repro.analysis.export import comparison_to_dict, result_to_dict
 from repro.analysis.parallel import (
+    POLICY_FACTORIES,
     PolicySpec,
     RunSpec,
     TraceSpec,
     comparison_specs,
     execute,
-    execute_one,
-    map_parallel,
     run_spec,
 )
-from repro.analysis.sweeps import series, sweep
+from repro.core.hibernator import HibernatorConfig
+from repro.policies.drpm import DrpmConfig
 from repro.policies.maid import MaidConfig
+from repro.policies.pdc import PdcConfig
+from repro.policies.tpm import TpmConfig
 from repro.traces.synthetic import SizeMix, SyntheticConfig, generate_synthetic
 
 #: Wall-clock instrumentation varies between repeats; everything else in a
@@ -116,13 +118,47 @@ class TestPolicySpec:
         with pytest.raises(ValueError, match="empty PolicySpec"):
             PolicySpec().build(trace, small_array())
 
+    @pytest.mark.parametrize("name", sorted(POLICY_FACTORIES))
+    def test_named_rejects_params_it_would_drop(self, name):
+        if name == "base":
+            with pytest.raises(ValueError, match="takes no params"):
+                PolicySpec.named("base", bogus=1)
+            return
+        config, field = _CONFIG_AND_FIELD[name]
+        with pytest.raises(ValueError, match="would be ignored"):
+            PolicySpec.named(name, config=config, **field)
+        trace = generate_synthetic(small_trace_config())
+        PolicySpec.named(name, **field).build(trace, small_array())
+        if config is not None:
+            PolicySpec.named(name, config=config).build(trace, small_array())
+
+    def test_hibernator_config_keeps_prime(self):
+        trace = generate_synthetic(small_trace_config())
+        config = HibernatorConfig(epoch_seconds=600.0)
+        primed, _ = PolicySpec.named("hibernator", config=config).build(trace, small_array())
+        unprimed, _ = PolicySpec.named("hibernator", config=config,
+                                       prime=False).build(trace, small_array())
+        assert primed.config.prime_rates is not None
+        assert unprimed.config.prime_rates is None
+        assert unprimed.config.epoch_seconds == 600.0
+
+
+#: Per named policy: a whole ``config=`` (None: the factory takes none)
+#: and one of its fields passed by hand.
+_CONFIG_AND_FIELD = {
+    "tpm": (TpmConfig(), {"threshold_multiple": 5.0}),
+    "drpm": (DrpmConfig(), {"check_interval_s": 5.0}),
+    "pdc": (PdcConfig(), {"period_s": 60.0}),
+    "maid": (MaidConfig(), {"num_cache_disks": 1}),
+    "hibernator": (HibernatorConfig(epoch_seconds=600.0), {"epoch_seconds": 60.0}),
+    "oracle": (None, {"epoch_seconds": 60.0}),
+}
+
 
 class TestExecute:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             execute([], jobs=0)
-        with pytest.raises(ValueError):
-            map_parallel(float, [1], jobs=0)
 
     def test_results_in_spec_order(self):
         trace_spec = TraceSpec.from_generator("synthetic", small_trace_config())
@@ -153,9 +189,9 @@ class TestExecute:
             array=small_array(),
             policy=PolicySpec.named("base"),
         )
-        cold = execute_one(spec, cache=cache)
+        [cold] = execute([spec], cache=cache)
         assert cache.stats()["stores"] == 1
-        warm = execute_one(spec, cache=cache)
+        [warm] = execute([spec], cache=cache)
         assert cache.stats()["hits"] == 1
         # The cached result is the stored object, bit-identical.
         assert canonical(result_to_dict(cold)) == canonical(result_to_dict(warm))
@@ -199,35 +235,3 @@ class TestRunComparison:
         assert names == ["tpm", "drpm", "pdc", "maid", "hibernator"]
         assert all(spec.goal_s == 0.05 for spec in specs)
 
-
-def _square_metrics(v: float) -> dict[str, float]:
-    return {"y": v * v}
-
-
-class TestSweep:
-    def test_sequential_default(self):
-        points = sweep([1.0, 2.0, 3.0], _square_metrics)
-        assert series(points, "y") == [(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]
-
-    def test_parallel_matches_sequential(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert sweep(values, _square_metrics, jobs=2) == sweep(values, _square_metrics)
-
-    def test_cache_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        values = [1.0, 2.0]
-        first = sweep(values, _square_metrics, cache=cache)
-        assert cache.stats()["stores"] == 2
-        second = sweep(values, _square_metrics, cache=cache)
-        assert cache.stats()["hits"] == 2
-        assert first == second
-
-    def test_lambda_needs_explicit_tag(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with pytest.raises(ValueError, match="cache_tag"):
-            sweep([1.0], lambda v: {"y": v}, cache=cache)
-        points = sweep([2.0], lambda v: {"y": v}, cache=cache, cache_tag="ident")
-        assert points[0].metrics == {"y": 2.0}
-        assert sweep([2.0], lambda v: {"y": -v}, cache=cache, cache_tag="ident")[0].metrics == {
-            "y": 2.0
-        }  # served from cache under the shared tag

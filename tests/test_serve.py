@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from repro.analysis.experiments import run_single
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, run_spec
 from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
 from repro.faults.plan import FaultPlan, TransientFault, fault_plan_from_dict, shift_fault_plan
 from repro.perf.digest import result_digest
@@ -39,6 +39,10 @@ from tests.conftest import poisson_trace
 
 def hibernator_policy(epoch_s: float = 30.0) -> HibernatorPolicy:
     return HibernatorPolicy(HibernatorConfig(epoch_seconds=epoch_s))
+
+
+#: :func:`hibernator_policy` as a recipe, for runs through ``run_spec``.
+HIBERNATOR = PolicySpec.named("hibernator", epoch_seconds=30.0, prime=False)
 
 
 def build_sim(small_config, *, goal_s=0.2, observe=False, live=False,
@@ -99,8 +103,8 @@ def serving(small_config, tmp_path, *, accel=200.0, goal_s=0.2,
 class TestReplayIdentity:
     def test_quiet_replay_matches_batch_digest(self, small_config, tmp_path):
         trace = poisson_trace(rate=30.0, duration=120.0, seed=11)
-        batch = run_single(trace, small_config, hibernator_policy(),
-                           goal_s=0.2, observe=True)
+        batch = run_spec(RunSpec(trace=TraceSpec.from_trace(trace), array=small_config,
+                                 policy=HIBERNATOR, goal_s=0.2, observe=True))
         sim = ArraySimulation(trace, small_config, hibernator_policy(),
                               goal_s=0.2, observe=True)
         served = run_replay_quiet(sim, tmp_path / "ctl.sock")
@@ -109,7 +113,8 @@ class TestReplayIdentity:
 
     def test_quiet_replay_matches_batch_without_goal(self, small_config, tmp_path):
         trace = poisson_trace(rate=40.0, duration=60.0, seed=5)
-        batch = run_single(trace, small_config, AlwaysOnPolicy())
+        batch = run_spec(RunSpec(trace=TraceSpec.from_trace(trace), array=small_config,
+                                 policy=PolicySpec.named("base")))
         sim = ArraySimulation(trace, small_config, AlwaysOnPolicy())
         served = run_replay_quiet(sim, tmp_path / "ctl.sock")
         assert result_digest(served) == result_digest(batch)
@@ -280,7 +285,8 @@ class TestLiveMode:
 class TestIncrementalRunner:
     def test_begin_step_finalize_equals_run(self, small_config):
         trace = poisson_trace(rate=30.0, duration=60.0, seed=9)
-        batch = run_single(trace, small_config, hibernator_policy(), goal_s=0.2)
+        batch = run_spec(RunSpec(trace=TraceSpec.from_trace(trace), array=small_config,
+                                 policy=HIBERNATOR, goal_s=0.2))
         sim = ArraySimulation(trace, small_config, hibernator_policy(), goal_s=0.2)
         sim.begin()
         while sim.step(max_events=512):
