@@ -26,57 +26,3 @@ def sparkline(values: Sequence[float]) -> str:
         out.append(_SPARK_LEVELS[idx])
     return "".join(out)
 
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart, one row per label."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must be parallel")
-    if not labels:
-        return ""
-    peak = max(max(values), 0.0)
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar_len = 0 if peak == 0 else int(round(max(value, 0.0) / peak * width))
-        bar = "█" * bar_len
-        lines.append(f"{label.ljust(label_width)}  {bar} {value:g}{unit}")
-    return "\n".join(lines)
-
-
-def line_plot(
-    points: Sequence[tuple[float, float]],
-    width: int = 64,
-    height: int = 12,
-    x_label: str = "",
-    y_label: str = "",
-) -> str:
-    """Scatter/line plot on a character grid."""
-    points = list(points)
-    if not points:
-        return "(no data)"
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = x_hi - x_lo or 1.0
-    y_span = y_hi - y_lo or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in points:
-        col = int((x - x_lo) / x_span * (width - 1))
-        row = height - 1 - int((y - y_lo) / y_span * (height - 1))
-        grid[row][col] = "•"
-    lines = []
-    for i, row in enumerate(grid):
-        y_val = y_hi - i * y_span / (height - 1) if height > 1 else y_hi
-        lines.append(f"{y_val:10.3g} |{''.join(row)}")
-    lines.append(" " * 11 + "+" + "-" * width)
-    footer = f"{x_lo:<10.4g}{' ' * max(width - 18, 1)}{x_hi:>8.4g}"
-    lines.append(" " * 12 + footer)
-    if x_label or y_label:
-        lines.append(f"  x: {x_label}   y: {y_label}")
-    return "\n".join(lines)

@@ -90,24 +90,6 @@ class MG1ResponseModel:
         wait = per_disk_lambda * m.second / (2.0 * (1.0 - rho))
         return m.mean + wait
 
-    def max_lambda_for_goal(self, rpm: int, goal_s: float) -> float:
-        """Largest per-disk arrival rate whose predicted R stays <= goal.
-
-        Solves ``E[S] + lambda * E[S2] / (2 (1 - lambda E[S])) = goal``
-        for lambda, capped at the stability limit. Used by sizing
-        heuristics and tests.
-        """
-        m = self.moments(rpm)
-        if goal_s <= m.mean:
-            return 0.0
-        # goal - ES = lam*ES2 / (2(1 - lam*ES))
-        # (goal - ES) * 2 - (goal - ES) * 2 * lam * ES = lam * ES2
-        # lam = 2 (goal-ES) / (ES2 + 2 ES (goal-ES))
-        slack = goal_s - m.mean
-        lam = 2.0 * slack / (m.second + 2.0 * m.mean * slack)
-        return min(lam, self.max_utilization / m.mean)
-
-
 def predict_tier_response(
     model: MG1ResponseModel,
     rpm: int,
@@ -132,18 +114,3 @@ def predict_tier_response(
         response_s=model.response_time(rpm, per_disk),
     )
 
-
-def weighted_array_response(predictions: list[TierPrediction]) -> float:
-    """Load-weighted mean response across tiers (inf if any tier is
-    saturated and carries load)."""
-    total_lambda = sum(p.tier_lambda for p in predictions)
-    if total_lambda <= 0:
-        return 0.0
-    acc = 0.0
-    for p in predictions:
-        if p.tier_lambda == 0.0:
-            continue
-        if math.isinf(p.response_s):
-            return math.inf
-        acc += p.tier_lambda * p.response_s
-    return acc / total_lambda

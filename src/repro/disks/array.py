@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.disks.disk import MultiSpeedDisk
 from repro.disks.mapping import ExtentMap
-from repro.disks.power import PowerBreakdown
 from repro.disks.raid import expand_request, expand_request_degraded
 from repro.disks.specs import DiskSpec, ultrastar_36z15
 from repro.obs.events import MigrationCancelled, MigrationMove, TraceEvent
@@ -425,27 +424,6 @@ class DiskArray:
         return [disk.rpm for disk in self.disks]
 
     # -- accounting ----------------------------------------------------------------
-
-    def total_energy(self, now: float | None = None) -> float:
-        """Total joules consumed by all disks up to ``now`` (default: the
-        engine clock). Does not close the meters."""
-        if now is None:
-            now = self.engine.now
-        total = 0.0
-        for disk in self.disks:
-            disk.meter.update(now, disk.meter.watts, disk.meter.label)
-            total += disk.meter.total_joules
-        return total
-
-    def power_breakdown(self, now: float | None = None) -> PowerBreakdown:
-        """Array-wide energy breakdown by category."""
-        if now is None:
-            now = self.engine.now
-        merged = PowerBreakdown()
-        for disk in self.disks:
-            disk.meter.update(now, disk.meter.watts, disk.meter.label)
-            merged.merge(disk.meter.breakdown)
-        return merged
 
     @property
     def num_disks(self) -> int:

@@ -16,8 +16,8 @@ checks need, built once per lint run and memoized on
 * a :class:`CallGraph` — resolved call edges (import-table + symbol
   table + ``self.``-method resolution on known classes) with a
   name-level fallback edge set for calls static analysis cannot pin
-  down, and the fixpoint/reachability API cross-file rules build on
-  (the OBS001 emitting-function fixpoint, PROTO dispatch resolution).
+  down, and the fixpoint API cross-file rules build on (the OBS001
+  emitting-function fixpoint).
 
 Resolution is deliberately *sound for the repo's idioms, permissive
 beyond them*: an edge the builder cannot resolve degrades to a bare-name
@@ -71,14 +71,6 @@ def bare_call_name(node: ast.Call) -> str | None:
     return None
 
 
-def receiver_name(node: ast.Call) -> str | None:
-    """Bare name of a call's receiver (``sim.step()`` → ``sim``), if any."""
-    func = node.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        return func.value.id
-    return None
-
-
 class SymbolTable:
     """Project-wide definition index with re-export alias resolution.
 
@@ -95,8 +87,6 @@ class SymbolTable:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.aliases: dict[str, str] = {}
-        self._functions_by_name: dict[str, list[FunctionInfo]] = {}
-        self._classes_by_name: dict[str, list[ClassInfo]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -124,7 +114,6 @@ class SymbolTable:
                     ctx=ctx,
                 )
                 self.classes[info.qualname] = info
-                self._classes_by_name.setdefault(stmt.name, []).append(info)
                 for member in stmt.body:
                     if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         method = self._add_function(ctx, member, class_name=stmt.name)
@@ -146,7 +135,6 @@ class SymbolTable:
             ctx=ctx,
         )
         self.functions[info.qualname] = info
-        self._functions_by_name.setdefault(node.name, []).append(info)
         return info
 
     # -- lookup --------------------------------------------------------------
@@ -181,14 +169,6 @@ class SymbolTable:
     def class_def(self, dotted: str) -> ClassInfo | None:
         """Class a dotted name refers to, through aliases, if known."""
         return self.classes.get(self.resolve(dotted))
-
-    def classes_named(self, name: str) -> list[ClassInfo]:
-        """Every class in the project with this bare name."""
-        return list(self._classes_by_name.get(name, ()))
-
-    def functions_named(self, name: str) -> list[FunctionInfo]:
-        """Every function/method in the project with this bare name."""
-        return list(self._functions_by_name.get(name, ()))
 
 
 @dataclass(frozen=True)
@@ -293,25 +273,3 @@ class CallGraph:
                     names.add(fi.name)
                     changed = True
         return Fixpoint(qualnames=frozenset(qualnames), names=frozenset(names))
-
-    def reachable_from(self, seeds: Iterable[str]) -> set[str]:
-        """Forward closure over resolved edges from seed qualnames."""
-        out: set[str] = set()
-        stack = [self.symbols.resolve(s) for s in seeds]
-        while stack:
-            current = stack.pop()
-            if current in out or current not in self.calls:
-                continue
-            out.add(current)
-            stack.extend(self.calls[current])
-        return out
-
-    def callers_of(self, target: str) -> set[str]:
-        """Qualnames whose bodies call ``target`` (resolved or by name)."""
-        canonical = self.symbols.resolve(target)
-        bare = canonical.rsplit(".", 1)[-1]
-        return {
-            q
-            for q in self.calls
-            if canonical in self.calls[q] or bare in self.called_names[q]
-        }

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from repro.lint.context import FileContext, ProjectContext
 from repro.lint.findings import Finding, Severity
-from repro.lint.registry import Rule, all_rules, register
+from repro.lint.registry import Rule, all_rules, no_findings, register
 
 #: Matches one suppression comment; the ids group is None for a bare
 #: ``lint-ok`` (which is malformed — ids are mandatory).
@@ -43,20 +43,13 @@ _SUPPRESS_RE = re.compile(r"#\s*repro:\s*lint-ok(?:\[(?P<ids>[^\]]*)\])?")
 _SKIP_DIR_PARTS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
 
 
-def _no_findings(
-    ctx: FileContext, project: ProjectContext
-) -> Iterable[tuple[int, int, str]]:
-    """Placeholder check for engine-emitted pseudo-rules."""
-    return ()
-
-
 LINT000 = register(Rule(
     rule_id="LINT000",
     name="bare-suppression",
     description="every lint-ok suppression must name the rule id(s) it waives",
     severity=Severity.ERROR,
     scopes=(),
-    check=_no_findings,
+    check=no_findings,
 ))
 
 LINT999 = register(Rule(
@@ -65,7 +58,7 @@ LINT999 = register(Rule(
     description="file could not be parsed as Python",
     severity=Severity.ERROR,
     scopes=(),
-    check=_no_findings,
+    check=no_findings,
 ))
 
 

@@ -15,9 +15,10 @@ change, and both promises need git history to check:
   changed while the version did not.
 
 Unlike the AST rules these need git history, so they run only when the
-CLI is given ``--guard-base`` (CI passes the PR base ref). Their
-findings carry rule ids ``CACHE002``/``PROTO003`` and flow through the
-same selection, suppression and reporting machinery as everything else.
+CLI is given ``--guard-base`` (CI passes the PR base ref). Both rules
+are registered here, next to their checks, so their findings flow
+through the same selection, suppression and reporting machinery as
+everything else.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.lint.findings import Finding, Severity
+from repro.lint.registry import Rule, no_findings, register
 
 #: Packages whose changes demand a CODE_VERSION bump.
 _SENSITIVE = re.compile(r"^src/repro/(core|sim|disks|policies)/.*\.py$")
@@ -69,6 +71,16 @@ def resolve_repo_root(start: Path | None = None) -> Path:
     if out is not None and out.strip():
         return Path(out.strip())
     return base
+
+
+register(Rule(
+    rule_id="CACHE002",
+    name="code-version-guard",
+    description="CODE_VERSION must be bumped when simulator semantics change",
+    severity=Severity.ERROR,
+    scopes=(),
+    check=no_findings,
+))
 
 
 def check_code_version_bump(repo: Path, base: str) -> list[Finding]:
@@ -139,6 +151,15 @@ def check_code_version_bump(repo: Path, base: str) -> list[Finding]:
 # -- PROTO003: PROTOCOL_VERSION bump guard -----------------------------------
 
 _PROTOCOL_MODULE = "src/repro/serve/protocol.py"
+
+register(Rule(
+    rule_id="PROTO003",
+    name="protocol-version-guard",
+    description="PROTOCOL_VERSION must be bumped when the command set or message fields change",
+    severity=Severity.ERROR,
+    scopes=(),
+    check=no_findings,
+))
 
 
 def _protocol_surface(text: str) -> dict[str, Any] | None:

@@ -57,6 +57,14 @@ class Rule:
         )
 
 
+def no_findings(
+    ctx: FileContext, project: ProjectContext
+) -> Iterable[tuple[int, int, str]]:
+    """Check for rules whose findings come from outside the AST pass
+    (engine pseudo-rules, git-history guards)."""
+    return ()
+
+
 _RULES: dict[str, Rule] = {}
 
 
@@ -70,8 +78,9 @@ def register(rule: Rule) -> Rule:
 
 def all_rules() -> dict[str, Rule]:
     """Registered rules by id, with the built-in set loaded."""
-    # Importing the rules package triggers registration of every
-    # built-in rule module exactly once.
+    # Importing the rules package and the guards triggers registration
+    # of every built-in rule exactly once.
+    import repro.lint.guard  # noqa: F401  (import-for-side-effect)
     import repro.lint.rules  # noqa: F401  (import-for-side-effect)
 
     return dict(_RULES)

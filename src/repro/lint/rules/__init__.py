@@ -4,33 +4,28 @@ Rule id namespaces:
 
 * ``DET00x`` — determinism (:mod:`repro.lint.rules.determinism`)
 * ``UNIT00x`` — unit consistency (:mod:`repro.lint.rules.units`)
-* ``CACHE00x`` — cache-key completeness (:mod:`repro.lint.rules.cachekey`)
 * ``OBS00x`` — observability pairing (:mod:`repro.lint.rules.obspairing`)
 * ``PERF00x`` — engine fast-path contracts (:mod:`repro.lint.rules.perf`)
-* ``PROTO00x`` — serve-protocol consistency (:mod:`repro.lint.rules.protocol`)
 * ``RES00x`` — resource lifecycle (:mod:`repro.lint.rules.resources`)
 * ``CONC00x`` — concurrency safety (:mod:`repro.lint.rules.concurrency`)
 * ``LINT00x/9xx`` — engine pseudo-rules (:mod:`repro.lint.engine`)
+* ``CACHE002``/``PROTO003`` — git-history guards (:mod:`repro.lint.guard`)
 """
 
 from repro.lint.rules import (
-    cachekey,
     concurrency,
     determinism,
     obspairing,
     perf,
-    protocol,
     resources,
     units,
 )
 
 __all__ = [
-    "cachekey",
     "concurrency",
     "determinism",
     "obspairing",
     "perf",
-    "protocol",
     "resources",
     "units",
 ]

@@ -50,10 +50,6 @@ class TraceLog:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def of_kind(self, kind: str | type[TraceEvent]) -> list[TraceEvent]:
-        """Events of one kind, by tag string or event class."""
-        tag = kind if isinstance(kind, str) else kind.kind
-        return [e for e in self.events if e.kind == tag]
 
 
 def _strict_safe(value: Any) -> Any:

@@ -25,7 +25,7 @@ and must survive any performance work unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.analysis.experiments import default_array_config
@@ -322,7 +322,25 @@ def golden_specs() -> dict[str, RunSpec | FleetSpec]:
     expansion/partition/merge stack including correlated failures, and
     (``golden-imported`` / ``golden-flashcrowd`` / ``golden-writeburst``)
     the ingest pipeline and the bursty scenario generators.
+    ``golden-imported-sampled`` adds the sampler to the imported trace:
+    its first tick and the first request share t=0, and quantized
+    timestamps keep meeting later ticks, which pins the batch core's
+    tie order against the scalar loop.
     """
+    imported = RunSpec(
+        trace=TraceSpec.from_import(
+            str(MSR_FIXTURE),
+            "msr",
+            IngestOptions(
+                name="golden-imported",
+                target_extents=NUM_EXTENTS,
+                target_duration_s=60.0,
+                seed=17,
+            ),
+        ),
+        array=_array(),
+        policy=PolicySpec.named("base"),
+    )
     return {
         "golden-base": RunSpec(
             trace=_golden_trace(),
@@ -370,20 +388,8 @@ def golden_specs() -> dict[str, RunSpec | FleetSpec]:
             ),
             observe=True,
         ),
-        "golden-imported": RunSpec(
-            trace=TraceSpec.from_import(
-                str(MSR_FIXTURE),
-                "msr",
-                IngestOptions(
-                    name="golden-imported",
-                    target_extents=NUM_EXTENTS,
-                    target_duration_s=60.0,
-                    seed=17,
-                ),
-            ),
-            array=_array(),
-            policy=PolicySpec.named("base"),
-        ),
+        "golden-imported": imported,
+        "golden-imported-sampled": replace(imported, window_s=10.0),
         "golden-flashcrowd": RunSpec(
             trace=TraceSpec.from_generator(
                 "flashcrowd",

@@ -65,13 +65,6 @@ class IdleSpindownManager:
         if disk.state is DiskState.IDLE and disk.queue_length == 0:
             self._arm(disk)
 
-    def unmanage(self, disk: MultiSpeedDisk) -> None:
-        """Stop managing ``disk`` and cancel any pending timer."""
-        self._managed.discard(disk.index)
-        self._cancel(disk.index)
-        disk.on_idle = None
-        disk.on_activity = None
-
     def is_managed(self, disk_index: int) -> bool:
         return disk_index in self._managed
 

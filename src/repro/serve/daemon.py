@@ -283,15 +283,10 @@ class ServeDaemon:
     def _dispatch(self, line: bytes) -> dict[str, Any]:
         try:
             request = protocol.decode_line(line)
+            # request_command admits only protocol.COMMANDS, so a handler
+            # without a registry entry can never be reached.
             cmd = protocol.request_command(request)
-            handler = {
-                "ping": self._cmd_ping,
-                "status": self._cmd_status,
-                "set-goal": self._cmd_set_goal,
-                "inject-fault": self._cmd_inject_fault,
-                "force-boost": self._cmd_force_boost,
-                "shutdown": self._cmd_shutdown,
-            }[cmd]
+            handler = getattr(self, "_cmd_" + cmd.replace("-", "_"))
             return protocol.ok_response(handler(request))
         except KeyError as exc:
             return protocol.error_response(f"missing key {exc}")

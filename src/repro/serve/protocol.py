@@ -41,7 +41,8 @@ from typing import Any
 #: ``ping`` so clients can refuse to drive a daemon they don't speak.
 PROTOCOL_VERSION = 1
 
-#: Commands the daemon understands (the dispatch table is keyed on this).
+#: Commands the daemon understands; each dispatches to the daemon's
+#: ``_cmd_<name>`` handler (``set-goal`` -> ``_cmd_set_goal``).
 COMMANDS = ("ping", "status", "set-goal", "inject-fault", "force-boost", "shutdown")
 
 #: Request fields each command carries beyond ``cmd``. This is the wire

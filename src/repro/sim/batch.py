@@ -34,11 +34,19 @@ it on every perf scenario). That shapes the whole design:
 Event/sequence accounting is kept consistent in bulk
 (``engine.events_executed`` and the schedule sequence counter advance by
 the same totals the scalar loop would accumulate), so ``runtime_events``
-and event ordering against pre-scheduled heap entries are preserved. The
-one residual: *absolute* sequence numbers assigned inside a segment can
-differ from the scalar interleaving, which could only matter if a
-service completion tied a heap event to the exact float — a
-measure-zero coincidence with continuous service times.
+and event ordering against pre-scheduled heap entries are preserved.
+
+Ties are ordered by ``(time, seq)`` exactly as on the scalar heap. They
+are common, not rare: ingested traces start at t=0 where the sampler's
+first tick lands, and quantized timestamps keep hitting tick instants.
+An arrival at a barrier's instant wins the tie when it was scheduled
+first (lower seq); it then fires *and starts service* before the
+barrier event runs, so the sampler reads the same watts the scalar
+loop does. The residual: *absolute* sequence numbers assigned inside a
+segment can differ from the scalar interleaving, which could only
+matter if a service *completion* landed on a heap event's exact float.
+Completion times are sums of seek, rotation and transfer times, so
+arrival quantization does not produce such ties.
 """
 
 from __future__ import annotations
@@ -389,9 +397,11 @@ class BatchArraySimulation(ArraySimulation):
             grp = per_disk[d]
             if grp is None and lane.infl is None and not lane.queue and not lane.resubs:
                 continue
+            # A window opening exactly at seg_end counts: a tie-winning
+            # arrival starts service at seg_end, inside it.
             if lane.fault is not None and (
                 lane.resubs
-                or any(s < seg_end and e > seg_start for s, e in lane.fwin)
+                or any(s <= seg_end and e > seg_start for s, e in lane.fwin)
             ):
                 s_n, a_n, r_n, last = self._run_lean(lane, grp, seg_end, deliveries)
                 resub_events += r_n
@@ -549,7 +559,10 @@ class BatchArraySimulation(ArraySimulation):
         for j in range(n):
             a = arr_l[j]
             start = a if a > free else free
-            if start >= seg_end:
+            # free < seg_end here, so start == seg_end only for the
+            # tie-winning arrival: it starts before the barrier, as in
+            # the scalar loop.
+            if start > seg_end:
                 stop_at = j
                 break
             if svc_l is None:
@@ -662,7 +675,10 @@ class BatchArraySimulation(ArraySimulation):
             t = tc if tc <= tr else tr
             if ta < t:
                 t = ta
-            if t >= seg_end:
+            # The tie-winning arrival at exactly seg_end still fires
+            # (and starts service) before the barrier, as in the scalar
+            # loop.
+            if t >= seg_end and not (i < n and ta == seg_end):
                 break
             if t == tc and tc <= tr:
                 now, s0, rec = infl
@@ -728,12 +744,6 @@ class BatchArraySimulation(ArraySimulation):
                 infl = (now + svc, now, rec)
                 seek_prev = blk
                 starts += 1
-        # Arrivals at exactly seg_end (barrier tie-winners) only queue.
-        while i < n:
-            queue.append([arr_l[i], reqs[i], blk_l[i], siz_l[i], 0])
-            if arr_l[i] > lane.last_act:
-                lane.last_act = arr_l[i]
-            i += 1
         lane.infl = infl
         lane.seek_prev = seek_prev
         self._pending_scheds += scheds

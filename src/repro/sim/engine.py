@@ -249,14 +249,3 @@ class Engine:
         if until is not None and drained and self._now < until:
             self._now = until
         return executed
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or None if the queue is empty."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2] is None and entry[3].cancelled:
-                heapq.heappop(heap)
-                continue
-            return entry[0]
-        return None

@@ -129,21 +129,6 @@ class Trace:
             sizes=self.sizes[lo:hi].copy(),
         )
 
-    def scaled_rate(self, factor: float) -> "Trace":
-        """Copy with inter-arrival times divided by ``factor`` (factor > 1
-        intensifies the workload)."""
-        if factor <= 0:
-            raise ValueError(f"rate factor must be positive, got {factor!r}")
-        return Trace(
-            name=f"{self.name}x{factor:g}",
-            num_extents=self.num_extents,
-            times=self.times / factor,
-            kinds=self.kinds.copy(),
-            extents=self.extents.copy(),
-            offsets=self.offsets.copy(),
-            sizes=self.sizes.copy(),
-        )
-
 
 class TraceBuilder:
     """Append-only builder that freezes into a :class:`Trace`."""

@@ -1,9 +1,9 @@
 """Trace transformations.
 
 Utilities for composing experiment workloads out of existing traces:
-concatenate phases, shift or scale time, thin to a sampled fraction,
-remap or restrict the address space. All transforms are pure — they
-return new :class:`Trace` objects and never mutate their inputs.
+concatenate phases, thin to a sampled fraction, remap the address
+space. All transforms are pure — they return new :class:`Trace`
+objects and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -11,21 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.traces.model import Trace
-
-
-def shift_time(trace: Trace, offset: float, name: str | None = None) -> Trace:
-    """Shift every request by ``offset`` seconds (must stay >= 0)."""
-    if len(trace) and trace.times[0] + offset < 0:
-        raise ValueError(f"offset {offset} would move requests before t=0")
-    return Trace(
-        name=name or f"{trace.name}+{offset:g}s",
-        num_extents=trace.num_extents,
-        times=trace.times + offset,
-        kinds=trace.kinds.copy(),
-        extents=trace.extents.copy(),
-        offsets=trace.offsets.copy(),
-        sizes=trace.sizes.copy(),
-    )
 
 
 def concat(traces: list[Trace], gap_s: float = 0.0, name: str = "concat") -> Trace:
@@ -132,20 +117,3 @@ def remap_extents(
         sizes=trace.sizes.copy(),
     )
 
-
-def filter_extents(trace: Trace, keep: np.ndarray, name: str | None = None) -> Trace:
-    """Keep only requests whose extent is flagged in the boolean ``keep``
-    mask (indexed by extent id)."""
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != (trace.num_extents,):
-        raise ValueError(f"mask shape {keep.shape} != ({trace.num_extents},)")
-    selected = keep[trace.extents]
-    return Trace(
-        name=name or f"{trace.name}:filtered",
-        num_extents=trace.num_extents,
-        times=trace.times[selected],
-        kinds=trace.kinds[selected],
-        extents=trace.extents[selected],
-        offsets=trace.offsets[selected],
-        sizes=trace.sizes[selected],
-    )

@@ -127,22 +127,6 @@ def test_background_op_completes(engine, array):
     assert array.disks[2].ops_completed == 1
 
 
-def test_total_energy_accumulates(engine, array):
-    engine.schedule(100.0, lambda: None)
-    engine.run()
-    expected = 4 * 100.0 * array.config.spec.idle_watts(15000)
-    assert array.total_energy() == pytest.approx(expected)
-
-
-def test_power_breakdown_labels(engine, array):
-    array.submit(make_request(extent=0))
-    engine.schedule(10.0, lambda: None)
-    engine.run()
-    breakdown = array.power_breakdown()
-    assert set(breakdown.joules) >= {"idle", "active"}
-    assert breakdown.total_joules == pytest.approx(array.total_energy())
-
-
 def test_set_all_speeds(engine, array):
     array.set_all_speeds(3000)
     engine.run()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.ascii_plot import bar_chart, line_plot, sparkline
+from repro.analysis.ascii_plot import sparkline
 
 
 class TestSparkline:
@@ -22,40 +22,3 @@ class TestSparkline:
     def test_extremes(self):
         s = sparkline([0.0, 10.0])
         assert s[0] == "▁" and s[1] == "█"
-
-
-class TestBarChart:
-    def test_renders_rows(self):
-        out = bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-        lines = out.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("█") == 10       # max value fills the width
-        assert lines[0].count("█") == 5
-
-    def test_zero_values(self):
-        out = bar_chart(["x"], [0.0])
-        assert "█" not in out
-
-    def test_parallel_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        assert bar_chart([], []) == ""
-
-
-class TestLinePlot:
-    def test_empty(self):
-        assert line_plot([]) == "(no data)"
-
-    def test_contains_points(self):
-        out = line_plot([(0, 0), (1, 1), (2, 4)], width=20, height=5)
-        assert out.count("•") >= 3 - 1  # points may share a cell
-
-    def test_labels_appended(self):
-        out = line_plot([(0, 0), (1, 1)], x_label="time", y_label="rt")
-        assert "x: time" in out and "y: rt" in out
-
-    def test_single_point(self):
-        out = line_plot([(5.0, 7.0)], width=10, height=4)
-        assert "•" in out

@@ -11,7 +11,10 @@ that promise three ways:
 * the golden specs against the committed pin file (the same pins the
   scalar engine is held to);
 * a hypothesis property test over randomized synthetic workloads
-  (seed, burst shape, goal, and a one-failure fault plan).
+  (seed, burst shape, goal, a one-failure fault plan, and the inputs
+  real traces produce: quantized timestamps with a first arrival at
+  t=0, a sampler whose ticks land on them, and fault windows whose
+  edges sit on arrival instants).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.analysis.parallel import (
     run_spec,
     simulation_class,
 )
-from repro.faults.plan import DiskFailure, FaultPlan
+from repro.faults.plan import DiskFailure, FaultPlan, SlowDiskFault, TransientFault
 from repro.fleet.executor import run_fleet
 from repro.fleet.spec import FleetSpec
 from repro.perf.digest import fleet_result_digest, result_digest
@@ -43,6 +46,7 @@ from repro.perf.scenarios import PERF_SCENARIOS, golden_specs
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.sim.batch import BatchArraySimulation
 from repro.sim.runner import ArraySimulation
+from repro.traces.model import Trace
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_results.json"
@@ -129,7 +133,17 @@ _RATE_SHAPES = {
 }
 
 
-def _random_case(seed: int, shape: str, fail_at: float | None):
+def _quantized(trace: Trace, quantum: float) -> Trace:
+    """Timestamps rounded to ``quantum`` and rebased to a first arrival
+    at t=0, as ingest leaves a real trace."""
+    times = np.round(trace.times / quantum) * quantum
+    return Trace(name=trace.name, num_extents=trace.num_extents,
+                 times=times - times[0], kinds=trace.kinds,
+                 extents=trace.extents, offsets=trace.offsets, sizes=trace.sizes)
+
+
+def _random_case(seed: int, shape: str, fail_at: float | None,
+                 quantum: float | None = None, windows_on_arrivals: bool = False):
     trace = generate_synthetic(SyntheticConfig(
         name=f"prop-{shape}-{seed}",
         duration=40.0,
@@ -138,10 +152,20 @@ def _random_case(seed: int, shape: str, fail_at: float | None):
         seed=seed,
         rate_fn=_RATE_SHAPES[shape],
     ))
+    if quantum is not None:
+        trace = _quantized(trace, quantum)
     config = default_array_config(num_disks=4, num_extents=200, seed=7)
+    failures = () if fail_at is None else (DiskFailure(time_s=fail_at, disk=1),)
+    transients = slows = ()
+    if windows_on_arrivals:
+        n = len(trace.times)
+        start, end = float(trace.times[n // 3]), float(trace.times[2 * n // 3])
+        transients = (TransientFault(start_s=start, end_s=end, probability=0.1),)
+        slows = (SlowDiskFault(start_s=start, end_s=end, factor=2.0, disks=(2,)),)
     faults = None
-    if fail_at is not None:
-        faults = FaultPlan(disk_failures=(DiskFailure(time_s=fail_at, disk=1),))
+    if failures or transients:
+        faults = FaultPlan(disk_failures=failures, transient_faults=transients,
+                           slow_disk_faults=slows)
     return trace, config, faults
 
 
@@ -151,14 +175,19 @@ def _random_case(seed: int, shape: str, fail_at: float | None):
     goal=st.sampled_from([None, 0.02, 0.25]),
     fail_at=st.one_of(st.none(), st.floats(min_value=1.0, max_value=35.0,
                                            allow_nan=False)),
+    quantum=st.sampled_from([None, 0.01, 0.5, 1.0]),
+    window=st.sampled_from([None, 0.5, 1.0, 10.0]),
+    windows_on_arrivals=st.booleans(),
 )
 @settings(max_examples=12, deadline=None)
-def test_property_batch_matches_scalar_serial(seed, shape, goal, fail_at):
-    trace, config, faults = _random_case(seed, shape, fail_at)
+def test_property_batch_matches_scalar_serial(seed, shape, goal, fail_at, quantum,
+                                              window, windows_on_arrivals):
+    trace, config, faults = _random_case(seed, shape, fail_at, quantum,
+                                         windows_on_arrivals)
     digests = {
         engine: result_digest(run_spec(RunSpec(
             trace=TraceSpec.from_trace(trace), array=config, policy=PolicySpec.named("base"),
-            goal_s=goal, faults=faults, engine=engine)))
+            goal_s=goal, window_s=window, faults=faults, engine=engine)))
         for engine in ENGINE_NAMES
     }
     assert digests["batch"] == digests["scalar"]

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.cache import CODE_VERSION, ResultCache, content_key
-from repro.analysis.parallel import RunSpec
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec
 from repro.disks.array import ArrayConfig
 from repro.disks.specs import make_multispeed_spec
+from repro.traces.ingest import IngestOptions
+from tests.conftest import make_trace
 
 
 @dataclasses.dataclass
@@ -114,7 +120,8 @@ class TestResultCache:
 # The cache keys a run by the content of its spec; a spec field that
 # never reaches the key aliases two different runs onto one entry and
 # silently serves stale results. These tests pin down that EVERY field
-# of ArrayConfig and RunSpec perturbs the run key. New fields fail the
+# of ArrayConfig, RunSpec and every class with its own cache_key()
+# perturbs the key. New fields (and new cache_key() classes) fail the
 # test until a perturbation is registered here, which is the audit.
 
 def _perturbed_spec():
@@ -215,6 +222,82 @@ class TestRunSpecKeyCompleteness:
             spec, **{name: _RUN_PERTURB[name](getattr(spec, name))})
         assert content_key(spec) != content_key(changed), (
             f"RunSpec.{name} does not reach the cache key")
+
+
+def _cache_key_classes():
+    """Every class in the package that defines its own ``cache_key()``."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = ".".join(("repro", *path.relative_to(root).with_suffix("").parts))
+        module = module.removesuffix(".__init__")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(stmt, ast.FunctionDef) and stmt.name == "cache_key"
+                    for stmt in node.body):
+                found.append(getattr(importlib.import_module(module), node.name))
+    return found
+
+
+def _trace_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _generated_trace_spec(seed=1):
+    from repro.traces.synthetic import SyntheticConfig
+
+    return TraceSpec.from_generator("synthetic", SyntheticConfig(duration=10.0, seed=seed))
+
+
+def _imported_trace_spec(tmp_path, options=None):
+    return TraceSpec.from_import(_trace_file(tmp_path, "a.csv", "0,1,2\n"), "msr", options)
+
+
+def _keyed_pair(spec, **changes):
+    return spec, dataclasses.replace(spec, **changes)
+
+
+#: "Class.field" -> tmp_path -> (spec, spec differing only in that field),
+#: each built in the mode where the field is part of the key.
+_KEY_PERTURB = {
+    "TraceSpec.generator": lambda tmp: _keyed_pair(
+        _generated_trace_spec(), generator="oltp"),
+    "TraceSpec.config": lambda tmp: _keyed_pair(
+        _generated_trace_spec(), config=_generated_trace_spec(seed=2).config),
+    # A file spec is keyed by the file's bytes: another path with other
+    # bytes is a new key (a rename with the same bytes is not).
+    "TraceSpec.path": lambda tmp: _keyed_pair(
+        TraceSpec.from_file(_trace_file(tmp, "a.trace", "a\n")),
+        path=_trace_file(tmp, "b.trace", "b\n")),
+    "TraceSpec.trace": lambda tmp: _keyed_pair(
+        TraceSpec.from_trace(make_trace([0.0, 1.0])), trace=make_trace([0.0, 2.0])),
+    "TraceSpec.format": lambda tmp: _keyed_pair(
+        _imported_trace_spec(tmp), format="blkparse"),
+    "TraceSpec.options": lambda tmp: _keyed_pair(
+        _imported_trace_spec(tmp, IngestOptions()),
+        options=IngestOptions(extent_bytes=4096)),
+    "PolicySpec.name": lambda tmp: _keyed_pair(PolicySpec.named("tpm"), name="drpm"),
+    "PolicySpec.params": lambda tmp: _keyed_pair(
+        PolicySpec.named("tpm"), params={"threshold_multiple": 2.0}),
+}
+
+
+class TestCacheKeyCompleteness:
+    @pytest.mark.parametrize("cls, name", [
+        (cls, f.name) for cls in _cache_key_classes() for f in dataclasses.fields(cls)],
+        ids=lambda value: value if isinstance(value, str) else value.__name__)
+    def test_every_field_perturbs_the_key(self, cls, name, tmp_path):
+        field = f"{cls.__name__}.{name}"
+        assert field in _KEY_PERTURB, (
+            f"new cache_key() field {field} has no perturbation registered; "
+            "add one here and confirm it reaches cache_key()")
+        spec, changed = _KEY_PERTURB[field](tmp_path)
+        assert content_key(spec) != content_key(changed), (
+            f"{field} does not reach cache_key(): two specs differing only "
+            "in it would alias to one cached result")
 
 
 def _fleet_spec():

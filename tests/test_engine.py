@@ -195,17 +195,6 @@ def test_pending_events_tracks_mid_run_scheduling(engine):
     assert engine.pending_events == 0
 
 
-def test_peek_time_skips_cancelled(engine):
-    h1 = engine.schedule(1.0, lambda: None)
-    engine.schedule(2.0, lambda: None)
-    h1.cancel()
-    assert engine.peek_time() == 2.0
-
-
-def test_peek_time_empty():
-    assert Engine().peek_time() is None
-
-
 def test_reentrant_run_raises(engine):
     def nested():
         engine.run()
@@ -287,13 +276,6 @@ def test_pending_events_counts_fast_entries(engine):
     assert engine.pending_events == 1
     engine.run()
     assert engine.pending_events == 0
-
-
-def test_peek_time_sees_fast_entries_past_cancelled(engine):
-    doomed = engine.schedule(1.0, lambda: None)
-    engine.schedule_fast(2.0, lambda: None)
-    doomed.cancel()
-    assert engine.peek_time() == 2.0
 
 
 def test_fast_events_pass_args_tuple(engine):

@@ -20,9 +20,8 @@ from repro.lint import check_protocol_version_bump, lint
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 RULES = ["DET001", "DET002", "DET003", "DET004",
-         "UNIT001", "UNIT002", "CACHE001", "OBS001", "OBS002", "PERF001",
-         "PROTO001", "PROTO002", "RES001", "RES002",
-         "CONC001", "CONC002", "CONC003"]
+         "UNIT001", "UNIT002", "OBS001", "OBS002", "PERF001",
+         "RES001", "RES002", "CONC001", "CONC002", "CONC003"]
 
 
 def _findings(filename: str, rule_id: str):
@@ -52,9 +51,8 @@ def test_expected_bad_fixture_counts():
     (weaker *or* stronger matching) surface as a diff here."""
     expected = {
         "DET001": 3, "DET002": 2, "DET003": 3, "DET004": 3,
-        "UNIT001": 3, "UNIT002": 3, "CACHE001": 1, "OBS001": 1, "OBS002": 2,
-        "PERF001": 3,
-        "PROTO001": 2, "PROTO002": 1, "RES001": 3, "RES002": 2,
+        "UNIT001": 3, "UNIT002": 3, "OBS001": 1, "OBS002": 2,
+        "PERF001": 3, "RES001": 3, "RES002": 2,
         "CONC001": 2, "CONC002": 2, "CONC003": 3,
     }
     for rule_id, count in expected.items():

@@ -46,8 +46,8 @@ class TestScenarios:
     def test_golden_specs_have_stable_names(self):
         assert sorted(golden_specs()) == [
             "golden-base", "golden-faults", "golden-flashcrowd", "golden-fleet",
-            "golden-hibernator", "golden-imported", "golden-nosamples",
-            "golden-writeburst",
+            "golden-hibernator", "golden-imported", "golden-imported-sampled",
+            "golden-nosamples", "golden-writeburst",
         ]
 
     def test_matrix_covers_ingest_and_new_generators(self):

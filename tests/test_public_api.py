@@ -42,9 +42,8 @@ MODULES = [
     "repro.lint.registry", "repro.lint.engine", "repro.lint.reporters",
     "repro.lint.guard", "repro.lint.callgraph",
     "repro.lint.rules", "repro.lint.rules.determinism",
-    "repro.lint.rules.units", "repro.lint.rules.cachekey",
-    "repro.lint.rules.obspairing", "repro.lint.rules.perf",
-    "repro.lint.rules.protocol", "repro.lint.rules.resources",
+    "repro.lint.rules.units", "repro.lint.rules.obspairing",
+    "repro.lint.rules.perf", "repro.lint.rules.resources",
     "repro.lint.rules.concurrency",
     "repro.perf", "repro.perf.scenarios", "repro.perf.harness",
     "repro.perf.digest", "repro.perf.profiling",

@@ -6,11 +6,7 @@ import math
 
 import pytest
 
-from repro.core.response_model import (
-    MG1ResponseModel,
-    predict_tier_response,
-    weighted_array_response,
-)
+from repro.core.response_model import MG1ResponseModel, predict_tier_response
 from repro.disks.mechanics import DiskMechanics
 from repro.disks.specs import ultrastar_36z15
 
@@ -59,23 +55,6 @@ def test_mg1_formula_exact(model):
     assert model.response_time(15000, lam) == pytest.approx(expected)
 
 
-def test_max_lambda_for_goal_inverts_response(model):
-    goal = 0.015
-    lam = model.max_lambda_for_goal(15000, goal)
-    assert lam > 0
-    assert model.response_time(15000, lam) == pytest.approx(goal, rel=1e-6)
-
-
-def test_max_lambda_zero_when_goal_below_service(model):
-    assert model.max_lambda_for_goal(3000, 0.001) == 0.0
-
-
-def test_max_lambda_capped_at_stability(model):
-    m = model.moments(15000)
-    lam = model.max_lambda_for_goal(15000, 10.0)  # absurdly loose goal
-    assert lam <= model.max_utilization / m.mean + 1e-9
-
-
 def test_moments_cached(model):
     assert model.moments(9000) is model.moments(9000)
 
@@ -97,20 +76,3 @@ class TestTierPrediction:
     def test_empty_tier_rejected(self, model):
         with pytest.raises(ValueError):
             predict_tier_response(model, 15000, num_disks=0, tier_lambda=0.0)
-
-    def test_weighted_array_response(self, model):
-        fast = predict_tier_response(model, 15000, 2, 80.0)
-        slow = predict_tier_response(model, 3000, 2, 20.0)
-        combined = weighted_array_response([fast, slow])
-        expected = (80 * fast.response_s + 20 * slow.response_s) / 100
-        assert combined == pytest.approx(expected)
-
-    def test_weighted_response_zero_load(self, model):
-        idle = predict_tier_response(model, 15000, 2, 0.0)
-        assert weighted_array_response([idle]) == 0.0
-
-    def test_saturated_loaded_tier_is_inf(self, model):
-        m = model.moments(3000)
-        sat = predict_tier_response(model, 3000, 1, 2.0 / m.mean)
-        ok = predict_tier_response(model, 15000, 1, 10.0)
-        assert math.isinf(weighted_array_response([ok, sat]))

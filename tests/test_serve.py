@@ -19,7 +19,9 @@ The contracts pinned here:
 from __future__ import annotations
 
 import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -135,7 +137,32 @@ class TestReplayIdentity:
         assert json.loads(lines[-1])["event"] == "run_end"
 
 
+#: ServeClient's transport methods; every other public method is a command.
+_CLIENT_TRANSPORT = {"connect", "request", "command", "close"}
+
+
 class TestControlProtocol:
+    def test_commands_handlers_client_and_docs_agree(self):
+        """``protocol.COMMANDS`` is the one command registry: each command
+        has a ``ServeDaemon._cmd_*`` handler, a ``ServeClient`` method and
+        a ``docs/serve.md`` table row, and each of those is a command."""
+        commands = set(protocol.COMMANDS)
+        doc = (Path(__file__).parent.parent / "docs" / "serve.md").read_text(
+            encoding="utf-8")
+        places = {
+            "ServeDaemon._cmd_* handlers": {
+                name[len("_cmd_"):].replace("_", "-")
+                for name in vars(ServeDaemon) if name.startswith("_cmd_")},
+            "ServeClient methods": {
+                name.replace("_", "-") for name in vars(ServeClient)
+                if not name.startswith("_")} - _CLIENT_TRANSPORT,
+            "docs/serve.md rows": set(re.findall(r"^\| `([a-z-]+)` \|", doc, re.MULTILINE)),
+        }
+        for place, names in places.items():
+            assert names == commands, (
+                f"{place} vs protocol.COMMANDS: missing {sorted(commands - names)}, "
+                f"not in COMMANDS {sorted(names - commands)}")
+
     def test_ping_status_round_trip(self, small_config, tmp_path):
         sim, daemon = serving(small_config, tmp_path)
         with ServeThread(daemon):

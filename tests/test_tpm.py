@@ -56,14 +56,6 @@ class TestIdleSpindownManager:
         # Timer re-armed after the op drained; eventually spins down.
         assert disk.state is DiskState.STANDBY
 
-    def test_unmanage_stops_spindown(self, engine):
-        disk = self.make_disk(engine)
-        manager = IdleSpindownManager(engine, threshold_s=5.0)
-        manager.manage(disk)
-        manager.unmanage(disk)
-        engine.run()
-        assert disk.state is DiskState.IDLE
-
     def test_threshold_validation(self, engine):
         with pytest.raises(ValueError):
             IdleSpindownManager(engine, threshold_s=0.0)

@@ -118,18 +118,6 @@ def test_slice_time_half_open():
     assert [r.time for r in sliced] == [1.0, 2.0]  # times preserved
 
 
-def test_scaled_rate_compresses_times():
-    trace = make_trace([0.0, 2.0, 4.0])
-    fast = trace.scaled_rate(2.0)
-    assert list(fast.times) == [0.0, 1.0, 2.0]
-    assert len(fast) == len(trace)
-
-
-def test_scaled_rate_validates():
-    with pytest.raises(ValueError):
-        make_trace([0.0]).scaled_rate(0.0)
-
-
 def test_columns_are_immutable():
     trace = make_trace([0.0, 1.0])
     with pytest.raises(ValueError):

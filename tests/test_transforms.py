@@ -5,26 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.traces.transforms import (
-    concat,
-    filter_extents,
-    remap_extents,
-    sample_fraction,
-    shift_time,
-)
+from repro.traces.transforms import concat, remap_extents, sample_fraction
 from tests.conftest import make_trace
-
-
-def test_shift_time():
-    trace = make_trace([0.0, 1.0, 2.0])
-    shifted = shift_time(trace, 10.0)
-    assert list(shifted.times) == [10.0, 11.0, 12.0]
-    assert len(shifted) == 3
-
-
-def test_shift_before_zero_rejected():
-    with pytest.raises(ValueError):
-        shift_time(make_trace([1.0]), -2.0)
 
 
 def test_concat_orders_phases():
@@ -136,17 +118,3 @@ def test_remap_validation():
         remap_extents(trace, np.arange(5), num_extents=10)  # too short
     with pytest.raises(ValueError):
         remap_extents(trace, np.full(10, 99), num_extents=10)  # out of range
-
-
-def test_filter_extents():
-    trace = make_trace([0.0, 1.0, 2.0, 3.0], extents=[0, 1, 2, 1], num_extents=10)
-    mask = np.zeros(10, dtype=bool)
-    mask[1] = True
-    filtered = filter_extents(trace, mask)
-    assert list(filtered.extents) == [1, 1]
-    assert list(filtered.times) == [1.0, 3.0]
-
-
-def test_filter_mask_shape_validated():
-    with pytest.raises(ValueError):
-        filter_extents(make_trace([0.0]), np.ones(3, dtype=bool))
