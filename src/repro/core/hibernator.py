@@ -49,6 +49,7 @@ from repro.obs.events import EpochBoundary
 from repro.policies.base import PowerPolicy
 from repro.sim.request import Request
 from repro.sim.stats import DeficitTracker, OnlineStats
+from repro.traces.model import _KIND_READ
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.runner import ArraySimulation
@@ -224,6 +225,35 @@ class HibernatorPolicy(PowerPolicy):
         else:
             self._writes_seen += 1
 
+    def on_arrivals(self, start: int, stop: int) -> None:
+        """Columnar :meth:`on_request_arrival`. Heat counts are
+        integer-valued floats, so the bulk fold is exact in any order;
+        the size moments fold in trace order."""
+        assert self.heat is not None and self.sim is not None
+        trace = self.sim.trace
+        reads = trace.kinds[start:stop] == _KIND_READ
+        self.heat.record_bulk(trace.extents[start:stop], ~reads)
+        self._size_stats.add_all(trace.sizes[start:stop].astype(np.float64).tolist())
+        num_reads = int(np.count_nonzero(reads))
+        self._reads_seen += num_reads
+        self._writes_seen += stop - start - num_reads
+
+    def on_completions(self, latencies: list[float]) -> int:
+        """Columnar :meth:`on_request_complete`: the same boost calls,
+        stopping before the completion that enters the boost (its
+        observation is rolled back; the scalar hook redoes it)."""
+        boost = self.boost
+        if boost is None:
+            return len(latencies)
+        tracker = boost.tracker
+        for i, latency in enumerate(latencies):
+            before = tracker.deficit, tracker.n
+            boost.observe(latency)
+            if boost.should_enter_boost():
+                tracker.deficit, tracker.n = before
+                return i
+        return len(latencies)
+
     def on_request_complete(self, request: Request) -> None:
         if self.boost is None:
             return
@@ -339,7 +369,6 @@ class HibernatorPolicy(PowerPolicy):
 
     def _adapt_epoch_length(self, previous_boundaries, boosts_before: int) -> None:
         """Grow the epoch while nothing changes; reset when it does."""
-        assert self.assignment is not None and self.boost is not None or True
         base = self.config.epoch_seconds
         boosted_since = (
             self.boost is not None and self.boost.boosts_entered > boosts_before

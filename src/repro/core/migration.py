@@ -146,8 +146,12 @@ class MigrationExecutor:
         plan: MigrationPlan,
         on_done: Callable[["MigrationExecutor"], None] | None = None,
     ) -> None:
-        """Begin executing ``plan``; ``on_done`` fires when it drains."""
-        if self.active:
+        """Begin executing ``plan``; ``on_done`` fires when it drains.
+
+        Copies a cancelled plan left in flight keep running and count
+        against the new plan's concurrency bound until they finish.
+        """
+        if self._pending or self._deferred or (self._inflight and not self._cancelled):
             raise RuntimeError("executor already running a plan")
         self._pending = deque(plan.moves)
         self._deferred = []

@@ -53,7 +53,8 @@ class HeatTracker:
         self._window_counts[extent] += self.write_weight if is_write else 1.0
 
     def record_bulk(self, extents: np.ndarray, write_mask: np.ndarray | None = None) -> None:
-        """Count many accesses at once (used for priming from a trace)."""
+        """Count many accesses at once; the counts are integer-valued,
+        so the result equals :meth:`record` called in any order."""
         if write_mask is None:
             np.add.at(self._window_counts, extents, 1.0)
             return
@@ -76,15 +77,6 @@ class HeatTracker:
         self._window_counts = np.zeros(self.num_extents, dtype=np.float64)
         self._epochs_folded += 1
         return self.heat
-
-    @property
-    def epochs_folded(self) -> int:
-        return self._epochs_folded
-
-    @property
-    def total_heat(self) -> float:
-        """Sum of per-extent rates = predicted array request rate."""
-        return float(self.heat.sum())
 
     def hottest_first(self) -> np.ndarray:
         """Extent ids ordered from hottest to coldest (stable)."""

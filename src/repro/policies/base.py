@@ -8,6 +8,30 @@ it schedules itself on ``sim.engine``.
 Policies must be stateless across runs: ``attach`` receives the
 simulation and is the place to initialize per-run state, so one policy
 instance can be reused for several runs.
+
+Columnar hooks. The batch engine (:mod:`repro.sim.batch`) replays the
+stretches between decision points a segment at a time instead of one
+request at a time. A policy that overrides the per-request hooks stays
+batchable when its class also overrides the columnar pair
+:meth:`PowerPolicy.on_arrivals` / :meth:`PowerPolicy.on_completions`;
+otherwise the batch engine runs it on the scalar event loop. The pump
+calls the pair once per segment, with this contract:
+
+* ``on_arrivals(start, stop)`` receives the trace rows ``[start, stop)``
+  (``sim.trace`` columns) that arrived in the segment, in trace order.
+  It must leave the policy exactly as ``on_request_arrival`` called on
+  each row in turn would.
+* ``on_completions(latencies)`` receives the response times of the
+  segment's completions in delivery order, failed requests included
+  (``on_request_complete`` sees those too). It folds them in order and
+  stops *before* the first completion whose scalar
+  ``on_request_complete`` would act on the simulation (schedule, change
+  a speed, cancel migration), leaving that completion unfolded. It
+  returns how many it folded. The pump then replays the segment up to
+  that completion's instant and delivers it on the scalar path, so the
+  action happens through ``on_request_complete`` itself.
+* Arrival state and completion state must be independent: the pump
+  folds a segment's completions before its arrivals.
 """
 
 from __future__ import annotations
@@ -51,6 +75,16 @@ class PowerPolicy(abc.ABC):
 
     def on_request_complete(self, request: Request) -> None:
         """Called when a foreground request finishes."""
+
+    def on_arrivals(self, start: int, stop: int) -> None:
+        """Columnar :meth:`on_request_arrival` for trace rows
+        ``[start, stop)`` (see the module docstring for the contract)."""
+
+    def on_completions(self, latencies: list[float]) -> int:
+        """Columnar :meth:`on_request_complete`: fold ``latencies`` in
+        order, stopping before the first completion that would act;
+        returns the number folded (see the module docstring)."""
+        return len(latencies)
 
     def on_finish(self, now: float) -> None:
         """Called once after the trace has drained."""

@@ -20,11 +20,24 @@ it on every perf scenario). That shapes the whole design:
   — numpy elementwise ops round identically to Python floats, and bulk
   ``Generator.uniform(0, r, n)`` draws the same stream as ``n`` scalar
   draws;
-* batching only engages for runs the scalar engine would drive through
-  the default no-op policy hooks (base policy, FCFS, no RAID-5
-  fan-out, no write cache, no observability) — anything else, and any
-  heap event the pump does not recognise, falls back to the scalar
-  event loop, rehydrating in-flight state into real heap events first;
+* a policy takes part through its columnar hook pair
+  (:meth:`~repro.policies.base.PowerPolicy.on_arrivals` /
+  :meth:`~repro.policies.base.PowerPolicy.on_completions`), called once
+  per segment; the no-op defaults pair with the no-op per-request hooks.
+  A policy class that overrides a per-request hook without its columnar
+  counterpart, RAID-5, the write cache, non-FCFS scheduling and
+  observability run on the scalar event loop for the whole run;
+* every other heap event (policy timer, speed transition, migration
+  copy, injected failure) is a *reversible barrier*: the pump
+  rehydrates its in-flight state into real heap events, and the scalar
+  loop runs the event plus whatever stretch it starts. At the first
+  instant every disk is idle, spinning at its requested speed with an
+  empty queue and no migration slot reserved, the pump takes the run
+  back;
+* when a segment's completions would make the policy act (Hibernator's
+  boost entry), the pump replays the segment from a checkpoint up to
+  that completion's instant and delivers it on the scalar path, so the
+  action happens at the same instant, through the same code;
 * fault windows become segment boundaries: inside a window the pump
   runs a lean per-disk event loop that consults the real
   :class:`~repro.faults.injector.DiskFaultState` (same RNG, same draw
@@ -35,6 +48,9 @@ Event/sequence accounting is kept consistent in bulk
 (``engine.events_executed`` and the schedule sequence counter advance by
 the same totals the scalar loop would accumulate), so ``runtime_events``
 and event ordering against pre-scheduled heap entries are preserved.
+The ``runtime_batched_requests``, ``runtime_segments``,
+``runtime_barriers`` and ``runtime_resumes`` extras say how much of a
+run the pump drove.
 
 Ties are ordered by ``(time, seq)`` exactly as on the scalar heap. They
 are common, not rare: ingested traces start at t=0 where the sampler's
@@ -63,7 +79,7 @@ import numpy as np
 from repro.disks.disk import DiskState, MultiSpeedDisk
 from repro.policies.base import PowerPolicy
 from repro.sim.request import DiskOp, Request, RequestClass
-from repro.sim.runner import ArraySimulation
+from repro.sim.runner import ArraySimulation, SimulationResult
 
 _INF = math.inf
 
@@ -137,16 +153,72 @@ class _Lane:
         self.rotation_s, self.bps = cached
         self.rng = disk.rng
 
+    #: Fields a segment mutates (the rest are per-lane constants).
+    _STATE = (
+        "free", "seek_prev", "head", "mlast", "idle_j", "idle_s", "act_j",
+        "act_s", "folded_idle", "folded_act", "ops", "nbytes", "last_act",
+        "op_errors", "op_retries",
+    )
+
+    def save(self) -> tuple:
+        """Snapshot for a segment replay: mutable fields, copies of the
+        op records (the lean loop bumps attempt counts in place) and the
+        disk's and fault state's generator states."""
+        infl = self.infl
+        generators = [] if self.rng is None else [self.rng]
+        if self.fault is not None:
+            generators.append(self.fault._rng)
+        return (
+            [getattr(self, name) for name in _Lane._STATE],
+            None if infl is None else (infl[0], infl[1], list(infl[2])),
+            [list(rec) for rec in self.queue],
+            [(t, tb, list(rec)) for t, tb, rec in self.resubs],
+            [(gen, gen.bit_generator.state) for gen in generators],
+        )
+
+    def restore(self, saved: tuple) -> None:
+        fields, self.infl, queue, self.resubs, generators = saved
+        for name, value in zip(_Lane._STATE, fields):
+            setattr(self, name, value)
+        self.queue = deque(queue)
+        for gen, state in generators:
+            gen.bit_generator.state = state
+
+
+_HOOK_PAIRS = (
+    ("on_request_arrival", "on_arrivals"),
+    ("on_request_complete", "on_completions"),
+)
+
+
+def _owner(cls: type, name: str) -> type:
+    """The class in ``cls``'s MRO that defines ``name``."""
+    return next(k for k in cls.__mro__ if name in vars(k))
+
+
+def _columnar_pair_covers(cls: type) -> bool:
+    """Each per-request hook has a columnar counterpart defined at least
+    as deep in the MRO (the no-op defaults pair with each other).
+
+    Decided from the class, not the instance: a wrapper installed on an
+    instance's per-request hooks (perfbench's traced run) must not move
+    the run to another engine path.
+    """
+    return all(issubclass(_owner(cls, columnar), _owner(cls, scalar))
+               for scalar, columnar in _HOOK_PAIRS)
+
 
 class BatchArraySimulation(ArraySimulation):
     """Epoch-batched replay with scalar-identical results.
 
     Accepts exactly the ``ArraySimulation`` constructor signature except
-    ``live`` (the serve daemon drives the scalar core). Runs that the
-    batch core cannot accelerate — custom policy hooks, RAID-5 writes,
-    observability, non-FCFS scheduling — transparently execute on the
-    inherited scalar machinery and produce identical results by
-    construction.
+    ``live`` (the serve daemon drives the scalar core). Runs the pump
+    cannot accelerate at all — a policy class without columnar hooks,
+    RAID-5, the write cache, observability, non-FCFS scheduling,
+    incremental driving — execute on the inherited scalar machinery for
+    their whole length. Every other run hands over to the scalar loop at
+    each barrier event and takes the run back once the array is steady
+    again; either way results are identical by construction.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -155,21 +227,21 @@ class BatchArraySimulation(ArraySimulation):
                              "use the scalar ArraySimulation")
         super().__init__(*args, **kwargs)
         cls = type(self.policy)
-        hooks_default = (
-            cls.on_request_arrival is PowerPolicy.on_request_arrival
-            and cls.on_request_complete is PowerPolicy.on_request_complete
-        )
         config = self.array.config
-        #: True once the run is (or became) scalar-driven. Static
-        #: ineligibility is decided here; runtime surprises (policy
-        #: timers, injected failures) flip it via _fallback_to_scalar.
-        self._scalar_mode = not (
-            hooks_default
+        #: The pump never runs: decided here, or by incremental driving.
+        self._static_scalar = not (
+            _columnar_pair_covers(cls)
             and self.emit is None
             and not config.raid5
             and not config.write_cache
             and config.scheduler == "fcfs"
         )
+        #: True while the scalar event loop drives the run: for the whole
+        #: run when static, else between a barrier and the next resume.
+        self._scalar_mode = self._static_scalar
+        #: The policy's columnar hooks do something (not the defaults).
+        self._columnar = any(_owner(cls, columnar) is not PowerPolicy
+                             for _, columnar in _HOOK_PAIRS)
         self._pending_arrival: tuple[float, int] | None = None
         self._pump_ready = False
         self._frontier = 0.0
@@ -178,6 +250,11 @@ class BatchArraySimulation(ArraySimulation):
         self._fault_edges: list[float] = []
         self._resub_tiebreak = 0
         self._pending_scheds = 0
+        # Engine telemetry (runtime_* extras, outside the digest).
+        self._batched = 0
+        self._segments = 0
+        self._barriers = 0
+        self._resumes = 0
 
     # -- arrival plumbing (virtual pending arrival) -----------------------
 
@@ -205,13 +282,14 @@ class BatchArraySimulation(ArraySimulation):
         max_events: int | None = None,
         stop_on_drain: bool = True,
     ) -> int:
-        if self._scalar_mode:
+        if self._static_scalar:
             return super().step(until, max_events, stop_on_drain)
         if until is not None or max_events is not None or not stop_on_drain:
             # Incremental (serve-style) driving defeats segment batching;
             # hand the whole run to the scalar loop.
             self._ensure_pump()
             self._fallback_to_scalar()
+            self._static_scalar = True
             return super().step(until, max_events, stop_on_drain)
         if self._drain_complete:
             return 0
@@ -233,10 +311,7 @@ class BatchArraySimulation(ArraySimulation):
         self._times_np = trace.times
         self._sizes_np = np.asarray(trace.sizes)
         self._ext_np = np.asarray(trace.extents)
-        emap = self.array.extent_map
-        self._diskmap_np = np.asarray(emap._disk, dtype=np.intp)
-        self._slotmap_np = np.asarray(emap._slot, dtype=np.intp)
-        self._lanes = [_Lane(d) for d in self.array.disks]
+        self._mirror_array()
         edges: set[float] = set()
         for lane in self._lanes:
             for start, end in lane.fwin:
@@ -245,20 +320,32 @@ class BatchArraySimulation(ArraySimulation):
         self._fault_edges = sorted(edges)
         self._sampler_cb = self._sample_speeds
 
-    def _probe_eligibility(self) -> bool:
-        """Runtime check after ``policy.attach``: everything must be in
-        the exact steady state the vectorized math assumes."""
+    def _mirror_array(self) -> None:
+        """Fresh lanes and placement columns from the real array."""
+        emap = self.array.extent_map
+        self._diskmap_np = np.asarray(emap._disk, dtype=np.intp)
+        self._slotmap_np = np.asarray(emap._slot, dtype=np.intp)
+        self._lanes = [_Lane(d) for d in self.array.disks]
+
+    def _blocked_for_good(self) -> bool:
+        """The pump can never take the run back: failures do not heal,
+        and a block redirect or per-disk hooks stay installed."""
         array = self.array
-        if array.redirect is not None or array.failed_disks:
-            return False
-        if any(array._reserved_slots):
+        return array.redirect is not None or bool(array.failed_disks) or any(
+            d.on_idle is not None or d.on_activity is not None or d.emit is not None
+            for d in array.disks)
+
+    def _probe_eligibility(self) -> bool:
+        """Everything is in the exact steady state the vectorized math
+        assumes: every disk idle at its requested speed with an empty
+        queue, no migration slot reserved, nothing blocking for good.
+        Checked after ``policy.attach`` and at every candidate resume
+        instant."""
+        array = self.array
+        if any(array._reserved_slots) or self._blocked_for_good():
             return False
         for disk in array.disks:
-            if disk.failed or disk.state is not DiskState.IDLE:
-                return False
-            if disk.on_idle is not None or disk.on_activity is not None:
-                return False
-            if disk.emit is not None:
+            if disk.state is not DiskState.IDLE or disk.queue:
                 return False
             if disk.rpm <= 0 or disk._requested_rpm != disk.rpm:
                 return False
@@ -292,9 +379,6 @@ class BatchArraySimulation(ArraySimulation):
     def _pump(self) -> int:
         self._ensure_pump()
         engine = self.engine
-        if not self._probe_eligibility():
-            self._fallback_to_scalar()
-            return engine.run(stop=self._drained)
         if self._drained():
             # Scalar semantics: run(stop=...) checks the predicate only
             # *after* a callback, so an already-drained run still
@@ -302,7 +386,16 @@ class BatchArraySimulation(ArraySimulation):
             self._fallback_to_scalar()
             return engine.run(stop=self._drained)
         executed = 0
+        if not self._probe_eligibility():
+            self._barrier()
         while True:
+            if self._scalar_mode:
+                if self._blocked_for_good():
+                    return executed + engine.run(stop=self._drained)
+                executed += engine.run(stop=self._stretch_done)
+                if self._drained():
+                    return executed
+                self._resume()
             if self._pending_arrival is None and not self._have_carries():
                 # Workload drained: the scalar loop stops at the
                 # delivery that drained it; lingering timers never fire.
@@ -311,13 +404,20 @@ class BatchArraySimulation(ArraySimulation):
             t_top = top[0] if top is not None else _INF
             edge = self._next_fault_edge()
             seg_end = edge if edge < t_top else t_top
-            executed += self._advance_segment(
+            ran, cut = self._advance_segment(
                 seg_end, top if seg_end == t_top else None)
+            executed += ran
             if self._pending_arrival is None and not self._have_carries():
                 # The workload drained inside the segment: the scalar
                 # loop's stop predicate fires right after that delivery,
                 # so the barrier event at seg_end never executes.
                 break
+            if cut is not None:
+                # The completion due at `cut` needs the scalar loop:
+                # the policy acts on it, or it ties another completion.
+                self._frontier = cut
+                self._barrier()
+                continue
             if seg_end == _INF:
                 continue
             self._frontier = seg_end
@@ -336,17 +436,106 @@ class BatchArraySimulation(ArraySimulation):
                 engine.events_executed += 1
                 executed += 1
                 continue
-            # Unknown decision point (injected failure, policy timer,
-            # cancellable handle): rehydrate and finish on the scalar
-            # event loop.
-            self._fallback_to_scalar()
-            return executed + engine.run(stop=self._drained)
+            # Any other decision point (policy timer, cancellable
+            # handle, injected failure): the scalar loop runs it.
+            self._barrier()
         self._flush_all()
         return executed
 
-    def _advance_segment(self, seg_end: float, top: tuple | None) -> int:
-        """Process every event in ``[frontier, seg_end)``; returns the
-        number of events the scalar loop would have executed."""
+    def _stretch_done(self) -> bool:
+        """Stop predicate of a scalar stretch: the workload drained, or
+        the array is steady enough for the pump to take the run back."""
+        return self._drained() or (
+            self._outstanding == 0 and self._probe_eligibility())
+
+    def _barrier(self) -> None:
+        self._barriers += 1
+        self._fallback_to_scalar()
+
+    def _resume(self) -> None:
+        """Take the run back from the scalar loop: no request is in
+        flight, so fresh lanes (and placement columns, which migration
+        may have changed) mirror the array exactly, and the next arrival
+        leaves the heap to become the virtual pending one."""
+        engine = self.engine
+        self._pending_arrival = None
+        if self._next_index < self._trace_len:
+            heap = engine._heap
+            arrive = self._arrive
+            i = next(j for j, entry in enumerate(heap) if entry[2] == arrive)
+            entry = heap[i]
+            heap[i] = heap[-1]
+            heap.pop()
+            heapq.heapify(heap)
+            engine._live -= 1
+            self._pending_arrival = (entry[0], entry[1])
+        self._mirror_array()
+        self._frontier = engine._now
+        self._scalar_mode = False
+        self._resumes += 1
+
+    def _advance_segment(self, seg_end: float, top: tuple | None) -> tuple[int, float | None]:
+        """Process every event in ``[frontier, seg_end)`` and fold it
+        into the statistics and the policy.
+
+        Returns ``(events, cut)``. ``cut`` is None when the segment ran
+        to ``seg_end``; otherwise the pump stopped at the instant
+        ``cut``, with the completion due then still in flight, and the
+        scalar loop must deliver it: the policy acts on it, or it ties
+        another completion (tied completions run in the scalar heap's
+        sequence order, which the pump does not track).
+        """
+        deliveries = self._deliveries
+        i0 = self._next_index
+        cut = None
+        if not self._columnar:
+            ran = self._run_segment(seg_end, top)
+        else:
+            saved = self._checkpoint()
+            ran = self._run_segment(seg_end, top)
+            deliveries.sort()
+            limit = len(deliveries)
+            for j in range(1, limit):
+                if deliveries[j][0] == deliveries[j - 1][0]:
+                    limit = j - 1
+                    break
+            times = self._times
+            folded = self.policy.on_completions(
+                [c - times[r] for c, r, _ in deliveries[:limit]])
+            if folded < len(deliveries):
+                cut = deliveries[folded][0]
+                self._restore(saved)
+                ran = self._run_segment(cut, None)
+                assert len(deliveries) == folded, "replay diverged from the first pass"
+            self.policy.on_arrivals(i0, self._next_index)
+        if deliveries:
+            self._fold_deliveries(deliveries)
+        self._segments += 1
+        self._batched += self._next_index - i0
+        return ran, cut
+
+    def _checkpoint(self) -> tuple:
+        engine = self.engine
+        return (
+            self._next_index, self._outstanding, self._pending_arrival,
+            engine.events_executed, engine._seq, engine._now, self._resub_tiebreak,
+            [lane.save() for lane in self._lanes],
+        )
+
+    def _restore(self, saved: tuple) -> None:
+        engine = self.engine
+        (self._next_index, self._outstanding, self._pending_arrival,
+         engine.events_executed, engine._seq, engine._now, self._resub_tiebreak,
+         lanes) = saved
+        for lane, state in zip(self._lanes, lanes):
+            lane.restore(state)
+        self._deliveries.clear()
+
+    def _run_segment(self, seg_end: float, top: tuple | None) -> int:
+        """Run the lanes over every event in ``[frontier, seg_end)``,
+        collecting completions in ``_deliveries`` without folding them;
+        returns the number of events the scalar loop would have
+        executed."""
         engine = self.engine
         i0 = self._next_index
         pa = self._pending_arrival
@@ -424,8 +613,6 @@ class BatchArraySimulation(ArraySimulation):
             else:
                 engine._seq += k - 1
                 self._pending_arrival = None
-        if deliveries:
-            self._fold_deliveries(deliveries)
         if last_event > engine._now:
             engine._now = last_event
         return k + attempts + resub_events
@@ -883,25 +1070,26 @@ class BatchArraySimulation(ArraySimulation):
 
     def _fallback_to_scalar(self) -> None:
         """Materialize pump state into real engine/disk state and hand
-        the rest of the run to the inherited scalar event loop."""
+        the run to the inherited scalar event loop."""
+        if self._scalar_mode:
+            return
         engine = self.engine
-        if self._pump_ready:
-            self._flush_all()
-            for d, (lane, disk) in enumerate(zip(self._lanes, self.array.disks)):
-                for rec in lane.queue:
-                    disk.queue.push(self._make_op(rec, d))
-                lane.queue.clear()
-                if lane.infl is not None:
-                    c, s0, rec = lane.infl
-                    op = self._make_op(rec, d)
-                    op.started = s0
-                    disk._in_flight = op
-                    disk.state = DiskState.ACTIVE
-                    engine.schedule_fast(c, disk._complete, (op,))
-                    lane.infl = None
-                for r, _, rec in lane.resubs:
-                    engine.schedule_fast(r, disk._resubmit, (self._make_op(rec, d),))
-                lane.resubs = []
+        self._flush_all()
+        for d, (lane, disk) in enumerate(zip(self._lanes, self.array.disks)):
+            for rec in lane.queue:
+                disk.queue.push(self._make_op(rec, d))
+            lane.queue.clear()
+            if lane.infl is not None:
+                c, s0, rec = lane.infl
+                op = self._make_op(rec, d)
+                op.started = s0
+                disk._in_flight = op
+                disk.state = DiskState.ACTIVE
+                engine.schedule_fast(c, disk._complete, (op,))
+                lane.infl = None
+            for r, _, rec in lane.resubs:
+                engine.schedule_fast(r, disk._resubmit, (self._make_op(rec, d),))
+            lane.resubs = []
         pa = self._pending_arrival
         if pa is not None:
             # Re-insert with the sequence number reserved at allocation
@@ -910,3 +1098,15 @@ class BatchArraySimulation(ArraySimulation):
             engine._live += 1
             self._pending_arrival = None
         self._scalar_mode = True
+
+    # -- result ------------------------------------------------------------
+
+    def finalize(self) -> SimulationResult:
+        for name, value in (
+            ("runtime_batched_requests", self._batched),
+            ("runtime_segments", self._segments),
+            ("runtime_barriers", self._barriers),
+            ("runtime_resumes", self._resumes),
+        ):
+            self.metrics.gauge(name).set(float(value))
+        return super().finalize()

@@ -39,6 +39,23 @@ class OnlineStats:
         if x > self.max:
             self.max = x
 
+    def add_all(self, values: list[float]) -> None:
+        """Fold observations in order, bit-identical to :meth:`add` on each."""
+        n, total, mean, m2 = self.n, self.total, self.mean, self._m2
+        mn, mx = self.min, self.max
+        for x in values:
+            n += 1
+            total += x
+            delta = x - mean
+            mean += delta / n
+            m2 += delta * (x - mean)
+            if x < mn:
+                mn = x
+            if x > mx:
+                mx = x
+        self.n, self.total, self.mean, self._m2 = n, total, mean, m2
+        self.min, self.max = mn, mx
+
     @property
     def variance(self) -> float:
         """Population variance; 0.0 with fewer than two observations."""

@@ -14,7 +14,9 @@ that promise three ways:
   (seed, burst shape, goal, a one-failure fault plan, and the inputs
   real traces produce: quantized timestamps with a first arrival at
   t=0, a sampler whose ticks land on them, and fault windows whose
-  edges sit on arrival instants).
+  edges sit on arrival instants), under Base and under short-epoch
+  Hibernator, on plain, deterministic-latency, RAID-5 and write-cache
+  arrays; plus one pinned case where the boost enters mid-segment.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.analysis.parallel import (
     run_spec,
     simulation_class,
 )
+from repro.core.hibernator import HibernatorPolicy
 from repro.faults.plan import DiskFailure, FaultPlan, SlowDiskFault, TransientFault
 from repro.fleet.executor import run_fleet
 from repro.fleet.spec import FleetSpec
@@ -88,11 +91,46 @@ class TestEngineSelector:
                                  policy=AlwaysOnPolicy(), live=True)
 
 
+_PUMP_TELEMETRY = {"runtime_batched_requests", "runtime_segments",
+                   "runtime_barriers", "runtime_resumes"}
+
+
+class TestEngineTelemetry:
+    def test_pump_share_is_reported_outside_the_digest(self):
+        scenario = next(s for s in PERF_SCENARIOS if s.name == "synth-hibernator")
+        scalar, batch = (run_spec(scenario.spec(engine)) for engine in ENGINE_NAMES)
+        assert not _PUMP_TELEMETRY & set(scalar.extras)
+        assert set(batch.extras) - set(scalar.extras) == _PUMP_TELEMETRY
+        assert result_digest(batch) == result_digest(scalar)
+        extras = batch.extras
+        assert 0 < extras["runtime_batched_requests"] <= len(scenario.spec().trace.build())
+        assert extras["runtime_segments"] > 0
+        # Every resume follows a barrier; the run may end in a stretch.
+        assert 1 <= extras["runtime_resumes"] <= extras["runtime_barriers"]
+
+    def test_statically_scalar_run_reports_zero_batched(self):
+        trace, config, _ = _random_case(1, "flat", None)
+        result = run_spec(RunSpec(
+            trace=TraceSpec.from_trace(trace),
+            array=dataclasses.replace(config, raid5=True),
+            policy=PolicySpec.named("base"), engine="batch"))
+        assert {k: result.extras[k] for k in _PUMP_TELEMETRY} == dict.fromkeys(
+            _PUMP_TELEMETRY, 0.0)
+
+
 class TestPerfMatrixIdentity:
     @pytest.mark.parametrize("name", [s.name for s in PERF_SCENARIOS])
     def test_serial_identity(self, name, scalar_reference):
         scenario = next(s for s in PERF_SCENARIOS if s.name == name)
-        assert _digest(scenario.spec("batch")) == scalar_reference[name], (
+        if scenario.fleet:
+            digest = _digest(scenario.spec("batch"))
+        else:
+            result = run_spec(scenario.spec("batch"))
+            digest = result_digest(result)
+            # Hibernator scenarios included: none may silently run on
+            # the scalar loop from start to end.
+            assert result.extras["runtime_batched_requests"] > 0, name
+        assert digest == scalar_reference[name], (
             f"{name}: batch engine produced different bytes than scalar"
         )
 
@@ -169,28 +207,84 @@ def _random_case(seed: int, shape: str, fail_at: float | None,
     return trace, config, faults
 
 
+#: Array variants; all but "plain" and "deterministic" run scalar on
+#: both engines, which the property pins too.
+_ARRAYS = {
+    "plain": {},
+    "deterministic": {"deterministic_latency": True},
+    "raid5": {"raid5": True},
+    "write_cache": {"write_cache": True},
+}
+
+
+def _policy(name: str, migration: str) -> PolicySpec:
+    if name == "base":
+        return PolicySpec.named("base")
+    # Short epochs: a 40 s run crosses several boundaries, speed
+    # transitions and migrations, each a barrier the pump resumes from.
+    return PolicySpec.named("hibernator", epoch_seconds=5.0, migration=migration)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     shape=st.sampled_from(sorted(_RATE_SHAPES)),
-    goal=st.sampled_from([None, 0.02, 0.25]),
+    # 8 ms puts Hibernator's boost entry inside steady stretches on
+    # some draws; 0.25 s never boosts.
+    goal=st.sampled_from([None, 0.008, 0.02, 0.25]),
     fail_at=st.one_of(st.none(), st.floats(min_value=1.0, max_value=35.0,
                                            allow_nan=False)),
     quantum=st.sampled_from([None, 0.01, 0.5, 1.0]),
     window=st.sampled_from([None, 0.5, 1.0, 10.0]),
     windows_on_arrivals=st.booleans(),
+    policy=st.sampled_from(["base", "hibernator"]),
+    migration=st.sampled_from(["shuffle", "none"]),
+    array=st.sampled_from(sorted(_ARRAYS)),
 )
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_property_batch_matches_scalar_serial(seed, shape, goal, fail_at, quantum,
-                                              window, windows_on_arrivals):
+                                              window, windows_on_arrivals, policy,
+                                              migration, array):
     trace, config, faults = _random_case(seed, shape, fail_at, quantum,
                                          windows_on_arrivals)
+    config = dataclasses.replace(config, **_ARRAYS[array])
     digests = {
         engine: result_digest(run_spec(RunSpec(
-            trace=TraceSpec.from_trace(trace), array=config, policy=PolicySpec.named("base"),
+            trace=TraceSpec.from_trace(trace), array=config,
+            policy=_policy(policy, migration),
             goal_s=goal, window_s=window, faults=faults, engine=engine)))
         for engine in ENGINE_NAMES
     }
     assert digests["batch"] == digests["scalar"]
+
+
+def test_boost_entering_mid_segment(monkeypatch):
+    """A slow-disk window drives the deficit over the boost threshold
+    between two barriers: the columnar fold stops at that completion,
+    the pump replays the segment up to its instant and the scalar loop
+    enters the boost. The result is byte-identical to the scalar run."""
+    stops = []
+    fold = HibernatorPolicy.on_completions
+
+    def recording(self, latencies):
+        folded = fold(self, latencies)
+        if folded < len(latencies):
+            stops.append(folded)
+        return folded
+
+    monkeypatch.setattr(HibernatorPolicy, "on_completions", recording)
+    trace, config, faults = _random_case(2, "square", None, windows_on_arrivals=True)
+    results = {
+        engine: run_spec(RunSpec(
+            trace=TraceSpec.from_trace(trace), array=config,
+            policy=PolicySpec.named("hibernator", epoch_seconds=10.0),
+            goal_s=0.008, faults=faults, engine=engine))
+        for engine in ENGINE_NAMES
+    }
+    batch = results["batch"]
+    assert stops, "the boost never entered inside a batched segment"
+    assert batch.extras["boosts"] >= 1
+    assert batch.extras["runtime_batched_requests"] > 0.5 * len(trace)
+    assert result_digest(batch) == result_digest(results["scalar"])
 
 
 @given(

@@ -7,10 +7,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import default_array_config
 from repro.core.guarantee import GuaranteeConfig
 from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.sim.runner import ArraySimulation
+from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 from repro.traces.tracestats import per_extent_rates
 from tests.conftest import make_trace, poisson_trace
 
@@ -246,6 +248,24 @@ def test_runs_without_goal(small_config):
     assert policy.boost is None
     assert "boosts" not in result.extras
     assert result.energy_joules > 0
+
+
+def test_replan_while_cancelled_copies_in_flight():
+    """An unboosted epoch boundary re-plans while the previous plan's
+    copies are still in flight (no goal, so nothing else cancels them):
+    the run completes and every copy lands."""
+    trace = generate_synthetic(SyntheticConfig(
+        duration=120.0, rate=150.0, num_extents=200, seed=0,
+        rate_fn=lambda t: np.where((t % 30.0) < 10.0, 150.0, 150.0 / 8),
+    ))
+    config = default_array_config(num_disks=4, num_extents=200, seed=7)
+    policy = HibernatorPolicy(HibernatorConfig(epoch_seconds=5.0))
+    sim = ArraySimulation(trace, config, policy)
+    result = sim.run()
+    assert result.num_requests == len(trace)
+    assert result.migration_extents > 0
+    assert not policy.executor.active
+    sim.array.extent_map.check_invariants()
 
 
 def test_describe_mentions_settings():

@@ -301,10 +301,10 @@ def test_tree_is_lint_clean():
 
 
 def test_code_version_was_bumped_for_this_change():
-    """The batch core now starts an arrival that wins a tie with a
-    sampler tick before the tick, as the scalar loop does, so batch
-    results for such runs change (toward the scalar reference; every
-    scalar digest and every existing golden pin is unchanged). Unused
-    helpers left core, sim, disks and policies too, so the guard demands
-    a bump."""
-    assert CODE_VERSION == "2026.08-8"
+    """Batch-engine results now carry the runtime_batched_requests,
+    runtime_segments, runtime_barriers and runtime_resumes extras, and a
+    Hibernator run that re-plans while cancelled migration copies are in
+    flight now completes instead of raising; core, sim and policies
+    changed, so the guard demands a bump. Every golden digest is
+    unchanged."""
+    assert CODE_VERSION == "2026.08-9"

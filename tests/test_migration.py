@@ -205,6 +205,24 @@ class TestExecutor:
         with pytest.raises(RuntimeError):
             executor.start(plan)
 
+    def test_start_after_cancel_with_copies_in_flight(self, engine, skewed_heat, rng):
+        """An epoch that re-plans while the cancelled plan's copies are
+        still in flight: the new plan starts, and the old copies count
+        against its concurrency bound until they drain."""
+        array, layout = build(engine, skewed_heat)
+        plan = plan_shuffle_migration(array, layout, hottest(skewed_heat), rng)
+        assert plan.num_moves >= 3
+        executor = MigrationExecutor(array, max_inflight=2)
+        executor.start(MigrationPlan(moves=plan.moves[:1]))
+        executor.cancel()
+        assert executor.active  # the copy is still in flight
+        executor.start(MigrationPlan(moves=plan.moves[1:]))
+        assert executor._inflight == 2
+        engine.run()
+        assert not executor.active
+        assert array.migration_extents_moved == plan.num_moves
+        array.extent_map.check_invariants()
+
     def test_empty_plan_completes_immediately(self, engine, skewed_heat):
         array, layout = build(engine, skewed_heat)
         done = []

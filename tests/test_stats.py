@@ -37,6 +37,18 @@ class TestOnlineStats:
         assert s.max == pytest.approx(xs.max())
         assert s.total == pytest.approx(xs.sum())
 
+    def test_add_all_is_bit_identical_to_add(self, rng):
+        xs = rng.exponential(4096.0, size=300).tolist()
+        one, bulk = OnlineStats(), OnlineStats()
+        one.add(7.0)
+        bulk.add(7.0)
+        for x in xs:
+            one.add(x)
+        bulk.add_all(xs[:100])
+        bulk.add_all(xs[100:])
+        assert (bulk.n, bulk.total, bulk.mean, bulk._m2, bulk.min, bulk.max) == (
+            one.n, one.total, one.mean, one._m2, one.min, one.max)
+
     def test_single_observation(self):
         s = OnlineStats()
         s.add(3.5)
