@@ -65,9 +65,6 @@ class IdleSpindownManager:
         if disk.state is DiskState.IDLE and disk.queue_length == 0:
             self._arm(disk)
 
-    def is_managed(self, disk_index: int) -> bool:
-        return disk_index in self._managed
-
     def _arm(self, disk: MultiSpeedDisk) -> None:
         self._cancel(disk.index)
         self._timers[disk.index] = self.engine.schedule_after(

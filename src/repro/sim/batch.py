@@ -25,8 +25,8 @@ it on every perf scenario). That shapes the whole design:
   :meth:`~repro.policies.base.PowerPolicy.on_completions`), called once
   per segment; the no-op defaults pair with the no-op per-request hooks.
   A policy class that overrides a per-request hook without its columnar
-  counterpart, RAID-5, the write cache, non-FCFS scheduling and
-  observability run on the scalar event loop for the whole run;
+  counterpart, RAID-5, the write cache and non-FCFS scheduling run on
+  the scalar event loop for the whole run;
 * every other heap event (policy timer, speed transition, migration
   copy, injected failure) is a *reversible barrier*: the pump
   rehydrates its in-flight state into real heap events, and the scalar
@@ -42,7 +42,15 @@ it on every perf scenario). That shapes the whole design:
   runs a lean per-disk event loop that consults the real
   :class:`~repro.faults.injector.DiskFaultState` (same RNG, same draw
   sites), outside it the vectorized path never touches the fault RNG —
-  exactly like the scalar fast path.
+  exactly like the scalar fast path;
+* an observed run pumps like an unobserved one. Every emit site but two
+  runs on the scalar loop (at barriers, at a boost-entry cut, or once
+  the pump is blocked for good); the lean loop makes the other two,
+  ``op_retried`` and ``request_failed``, and the segment emits them in
+  time order. Where one shares its instant with another service
+  attempt's end, the segment is cut there like a boost entry, and the
+  fallback schedules the ops it hands over in service-start order, so
+  the scalar loop orders the tie as the scalar heap does.
 
 Event/sequence accounting is kept consistent in bulk
 (``engine.events_executed`` and the schedule sequence counter advance by
@@ -71,12 +79,14 @@ import heapq
 import math
 import time
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from repro.disks.disk import DiskState, MultiSpeedDisk
+from repro.obs.events import OpRetried, RequestFailed, TraceEvent
 from repro.policies.base import PowerPolicy
 from repro.sim.request import DiskOp, Request, RequestClass
 from repro.sim.runner import ArraySimulation, SimulationResult
@@ -94,7 +104,7 @@ class _Lane:
     """
 
     __slots__ = (
-        "free", "seek_prev", "head", "mlast", "infl", "queue", "resubs",
+        "index", "free", "seek_prev", "head", "mlast", "infl", "queue", "resubs",
         "idle_w", "act_w", "idle_j", "idle_s", "act_j", "act_s",
         "folded_idle", "folded_act", "ops", "nbytes", "last_act",
         "op_errors", "op_retries", "fault", "fwin",
@@ -103,6 +113,7 @@ class _Lane:
 
     def __init__(self, disk: MultiSpeedDisk) -> None:
         meter = disk.meter
+        self.index = disk.index
         self.free = 0.0
         self.seek_prev = disk.head_block
         self.head = disk.head_block
@@ -214,9 +225,10 @@ class BatchArraySimulation(ArraySimulation):
     Accepts exactly the ``ArraySimulation`` constructor signature except
     ``live`` (the serve daemon drives the scalar core). Runs the pump
     cannot accelerate at all — a policy class without columnar hooks,
-    RAID-5, the write cache, observability, non-FCFS scheduling,
-    incremental driving — execute on the inherited scalar machinery for
-    their whole length. Every other run hands over to the scalar loop at
+    RAID-5, the write cache, non-FCFS scheduling, incremental driving —
+    execute on the inherited scalar machinery for their whole length.
+    Observability is not among them: it changes neither results nor the
+    engine path. Every other run hands over to the scalar loop at
     each barrier event and takes the run back once the array is steady
     again; either way results are identical by construction.
     """
@@ -231,7 +243,6 @@ class BatchArraySimulation(ArraySimulation):
         #: The pump never runs: decided here, or by incremental driving.
         self._static_scalar = not (
             _columnar_pair_covers(cls)
-            and self.emit is None
             and not config.raid5
             and not config.write_cache
             and config.scheduler == "fcfs"
@@ -247,6 +258,9 @@ class BatchArraySimulation(ArraySimulation):
         self._frontier = 0.0
         self._lanes: list[_Lane] = []
         self._deliveries: list[tuple[float, int, bool]] = []
+        #: Trace events the lean loop produced this segment, as
+        #: ``(time, event)``; emitted in time order when it folds.
+        self._emits: list[tuple[float, TraceEvent]] = []
         self._fault_edges: list[float] = []
         self._resub_tiebreak = 0
         self._pending_scheds = 0
@@ -329,11 +343,12 @@ class BatchArraySimulation(ArraySimulation):
 
     def _blocked_for_good(self) -> bool:
         """The pump can never take the run back: failures do not heal,
-        and a block redirect or per-disk hooks stay installed."""
+        and a block redirect or per-disk idle/activity hooks stay
+        installed. The trace hook is not one: the pump makes its
+        per-op events itself."""
         array = self.array
         return array.redirect is not None or bool(array.failed_disks) or any(
-            d.on_idle is not None or d.on_activity is not None or d.emit is not None
-            for d in array.disks)
+            d.on_idle is not None or d.on_activity is not None for d in array.disks)
 
     def _probe_eligibility(self) -> bool:
         """Everything is in the exact steady state the vectorized math
@@ -481,38 +496,64 @@ class BatchArraySimulation(ArraySimulation):
         Returns ``(events, cut)``. ``cut`` is None when the segment ran
         to ``seg_end``; otherwise the pump stopped at the instant
         ``cut``, with the completion due then still in flight, and the
-        scalar loop must deliver it: the policy acts on it, or it ties
-        another completion (tied completions run in the scalar heap's
+        scalar loop must deliver it: the policy acts on it, it ties
+        another completion under a columnar policy, or it ties a trace
+        event the pump made (tied completions run in the scalar heap's
         sequence order, which the pump does not track).
         """
         deliveries = self._deliveries
+        emits = self._emits
         i0 = self._next_index
         cut = None
-        if not self._columnar:
+        if not self._columnar and self.emit is None:
             ran = self._run_segment(seg_end, top)
         else:
             saved = self._checkpoint()
             ran = self._run_segment(seg_end, top)
             deliveries.sort()
-            limit = len(deliveries)
-            for j in range(1, limit):
-                if deliveries[j][0] == deliveries[j - 1][0]:
-                    limit = j - 1
-                    break
-            times = self._times
-            folded = self.policy.on_completions(
-                [c - times[r] for c, r, _ in deliveries[:limit]])
-            if folded < len(deliveries):
-                cut = deliveries[folded][0]
+            tie = self._emit_tie()
+            limit = bisect_left(deliveries, (tie,))
+            if self._columnar:
+                for j in range(1, limit):
+                    if deliveries[j][0] == deliveries[j - 1][0]:
+                        limit = j - 1
+                        break
+                times = self._times
+                folded = self.policy.on_completions(
+                    [c - times[r] for c, r, _ in deliveries[:limit]])
+            else:
+                folded = limit
+            if folded < len(deliveries) or tie < _INF:
+                cut = min(deliveries[folded][0] if folded < len(deliveries) else _INF, tie)
                 self._restore(saved)
                 ran = self._run_segment(cut, None)
                 assert len(deliveries) == folded, "replay diverged from the first pass"
-            self.policy.on_arrivals(i0, self._next_index)
+            if self._columnar:
+                self.policy.on_arrivals(i0, self._next_index)
+        if self.emit is not None and emits:
+            # No two are tied (the cut above), so time order is the
+            # scalar heap's order.
+            emits.sort(key=itemgetter(0))
+            for _, event in emits:
+                self.emit(event)
+            emits.clear()
         if deliveries:
             self._fold_deliveries(deliveries)
         self._segments += 1
         self._batched += self._next_index - i0
         return ran, cut
+
+    def _emit_tie(self) -> float:
+        """Earliest instant at which an event the lean loop made shares
+        its instant with another service attempt's end (a retry, a
+        failure or a delivery), else infinity: each emit belongs to one
+        attempt, so counting emits plus successful deliveries counts
+        every attempt ending then."""
+        if not self._emits:
+            return _INF
+        attempts = Counter(t for t, _ in self._emits)
+        attempts.update(c for c, _, bad in self._deliveries if not bad and c in attempts)
+        return min((t for t, n in attempts.items() if n > 1), default=_INF)
 
     def _checkpoint(self) -> tuple:
         engine = self.engine
@@ -530,6 +571,7 @@ class BatchArraySimulation(ArraySimulation):
         for lane, state in zip(self._lanes, lanes):
             lane.restore(state)
         self._deliveries.clear()
+        self._emits.clear()
 
     def _run_segment(self, seg_end: float, top: tuple | None) -> int:
         """Run the lanes over every event in ``[frontier, seg_end)``,
@@ -577,7 +619,7 @@ class BatchArraySimulation(ArraySimulation):
             self._next_index = i1
             self._outstanding += k
         deliveries = self._deliveries
-        starts = attempts = resub_events = scheds = 0
+        starts = attempts = resub_events = 0
         last_event = -_INF
         if k:
             last_event = float(tms[-1])
@@ -819,7 +861,8 @@ class BatchArraySimulation(ArraySimulation):
     ) -> tuple[int, int, int, float]:
         """A fault window overlaps the segment (or retries are pending):
         run a per-disk event merge that consults the real fault state —
-        same draw sites, same retry arithmetic as the scalar disk.
+        same draw sites, same retry arithmetic as the scalar disk. When
+        observed, the retries and failures it decides go to ``_emits``.
         Returns ``(starts, attempts, resub_events, last_event_time)``."""
         fault = lane.fault
         assert fault is not None
@@ -855,6 +898,8 @@ class BatchArraySimulation(ArraySimulation):
         starts = attempts = resub_events = scheds = 0
         last_event = -_INF
         max_attempts = retry.max_attempts
+        emits = self._emits if self.emit is not None else None
+        kinds = self._kinds
         while True:
             tc = infl[0] if infl is not None else _INF
             tr = resubs[0][0] if resubs else _INF
@@ -885,9 +930,20 @@ class BatchArraySimulation(ArraySimulation):
                     rec[4] += 1
                     if rec[4] >= max_attempts:
                         append((now, rec[1], True))
+                        if emits is not None:
+                            req = rec[1]
+                            emits.append((now, RequestFailed(
+                                time=now, req_id=req, extent=self._extents[req],
+                                op_kind=kinds[req].value,
+                            )))
                     else:
                         lane.op_retries += 1
                         backoff = retry.backoff_for(rec[4])
+                        if emits is not None:
+                            emits.append((now, OpRetried(
+                                time=now, disk=lane.index, attempt=rec[4],
+                                op_kind=kinds[rec[1]].value, backoff_s=backoff,
+                            )))
                         scheds += 1
                         self._resub_tiebreak += 1
                         heappush(resubs, (now + backoff, self._resub_tiebreak, rec))
@@ -1075,6 +1131,7 @@ class BatchArraySimulation(ArraySimulation):
             return
         engine = self.engine
         self._flush_all()
+        in_flight = []
         for d, (lane, disk) in enumerate(zip(self._lanes, self.array.disks)):
             for rec in lane.queue:
                 disk.queue.push(self._make_op(rec, d))
@@ -1085,8 +1142,15 @@ class BatchArraySimulation(ArraySimulation):
                 op.started = s0
                 disk._in_flight = op
                 disk.state = DiskState.ACTIVE
-                engine.schedule_fast(c, disk._complete, (op,))
+                in_flight.append((s0, rec[1], c, disk, op))
                 lane.infl = None
+        # Completions that tie (a cut hands them over) run in the order
+        # the scalar loop scheduled them: by service start, and by
+        # arrival order for ops that started at one instant.
+        in_flight.sort(key=itemgetter(0, 1))
+        for _, _, c, disk, op in in_flight:
+            engine.schedule_fast(c, disk._complete, (op,))
+        for d, (lane, disk) in enumerate(zip(self._lanes, self.array.disks)):
             for r, _, rec in lane.resubs:
                 engine.schedule_fast(r, disk._resubmit, (self._make_op(rec, d),))
             lane.resubs = []

@@ -75,10 +75,6 @@ class Request:
     def is_read(self) -> bool:
         return self.kind is IoKind.READ
 
-    @property
-    def is_migration(self) -> bool:
-        return self.klass is RequestClass.MIGRATION
-
 
 @dataclass(slots=True)
 class DiskOp:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import default_array_config
@@ -239,11 +239,20 @@ def _policy(name: str, migration: str) -> PolicySpec:
     policy=st.sampled_from(["base", "hibernator"]),
     migration=st.sampled_from(["shuffle", "none"]),
     array=st.sampled_from(sorted(_ARRAYS)),
+    observe=st.booleans(),
 )
+# The pump itself must produce the retries a transient window causes.
+@example(seed=0, shape="flat", goal=None, fail_at=None, quantum=None, window=None,
+         windows_on_arrivals=True, policy="base", migration="shuffle",
+         array="deterministic", observe=True)
+# Two disks retry at one instant: the scalar loop orders them.
+@example(seed=0, shape="flat", goal=None, fail_at=None, quantum=0.5, window=None,
+         windows_on_arrivals=True, policy="base", migration="shuffle",
+         array="deterministic", observe=True)
 @settings(max_examples=40, deadline=None)
 def test_property_batch_matches_scalar_serial(seed, shape, goal, fail_at, quantum,
                                               window, windows_on_arrivals, policy,
-                                              migration, array):
+                                              migration, array, observe):
     trace, config, faults = _random_case(seed, shape, fail_at, quantum,
                                          windows_on_arrivals)
     config = dataclasses.replace(config, **_ARRAYS[array])
@@ -251,7 +260,8 @@ def test_property_batch_matches_scalar_serial(seed, shape, goal, fail_at, quantu
         engine: result_digest(run_spec(RunSpec(
             trace=TraceSpec.from_trace(trace), array=config,
             policy=_policy(policy, migration),
-            goal_s=goal, window_s=window, faults=faults, engine=engine)))
+            goal_s=goal, window_s=window, faults=faults, observe=observe,
+            engine=engine)))
         for engine in ENGINE_NAMES
     }
     assert digests["batch"] == digests["scalar"]

@@ -301,10 +301,8 @@ def test_tree_is_lint_clean():
 
 
 def test_code_version_was_bumped_for_this_change():
-    """Batch-engine results now carry the runtime_batched_requests,
-    runtime_segments, runtime_barriers and runtime_resumes extras, and a
-    Hibernator run that re-plans while cancelled migration copies are in
-    flight now completes instead of raising; core, sim and policies
-    changed, so the guard demands a bump. Every golden digest is
-    unchanged."""
-    assert CODE_VERSION == "2026.08-9"
+    """Observed runs now take the batch engine's pump, which makes the
+    retry and failure events of fault windows itself; sim and policies
+    changed, so the guard demands a bump. Every golden digest, events
+    included, is unchanged."""
+    assert CODE_VERSION == "2026.08-10"

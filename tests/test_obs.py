@@ -24,6 +24,7 @@ import pytest
 from repro.analysis.experiments import run_comparison
 from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute, run_spec
 from repro.core.hibernator import HibernatorConfig
+from repro.faults.plan import FaultPlan, SlowDiskFault, TransientFault
 from repro.obs.events import (
     EVENT_TYPES,
     BoostEnter,
@@ -273,10 +274,30 @@ class TestObservedRuns:
         assert result.events == []
 
     def test_observe_does_not_change_metrics(self, small_config):
-        """The tier-1 guarantee: tracing must never perturb the physics."""
+        """The tier-1 guarantee: tracing must never perturb the physics,
+        nor move the run onto another engine path."""
+        self._check_observe_is_invisible(small_config, faulted=False)
+
+    def test_observe_does_not_change_metrics_under_faults(self, small_config):
+        """Transient errors and a slow disk: the batch pump makes the
+        retry events itself and keeps the run."""
+        observed = self._check_observe_is_invisible(small_config, faulted=True)
+        assert any(e.kind == "op_retried" for e in observed.events)
+
+    @staticmethod
+    def _check_observe_is_invisible(small_config, faulted):
         trace = poisson_trace(rate=30.0, duration=120.0, seed=11)
+        faults = None
+        if faulted:
+            n = len(trace.times)
+            start, end = float(trace.times[n // 3]), float(trace.times[2 * n // 3])
+            faults = FaultPlan(
+                transient_faults=(TransientFault(start_s=start, end_s=end, probability=0.1),),
+                slow_disk_faults=(SlowDiskFault(start_s=start, end_s=end, factor=2.0,
+                                                disks=(2,)),),
+            )
         spec = RunSpec(trace=TraceSpec.from_trace(trace), array=small_config,
-                       policy=HIBERNATOR, goal_s=0.2)
+                       policy=HIBERNATOR, goal_s=0.2, faults=faults, engine="batch")
         plain = run_spec(spec)
         observed = run_spec(dataclasses.replace(spec, observe=True))
         assert observed.events and not plain.events
@@ -288,6 +309,11 @@ class TestObservedRuns:
                                   if not k.startswith("runtime_")}
         assert drop_runtime(plain.extras) == drop_runtime(observed.extras)
         assert plain.latency_windows == observed.latency_windows
+        assert plain.extras["runtime_batched_requests"] > 0
+        for name in ("runtime_batched_requests", "runtime_segments",
+                     "runtime_barriers", "runtime_resumes"):
+            assert plain.extras[name] == observed.extras[name], name
+        return observed
 
     def test_run_brackets_and_determinism(self, small_config):
         first = observed_hibernator_run(small_config)
