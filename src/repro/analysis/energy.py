@@ -18,10 +18,3 @@ def savings_fraction(energy: float, baseline: float) -> float:
     if baseline <= 0:
         return 0.0
     return 1.0 - energy / baseline
-
-
-def mean_watts(joules: float, seconds: float) -> float:
-    """Average power over an interval (0 for an empty interval)."""
-    if seconds <= 0:
-        return 0.0
-    return joules / seconds

@@ -3,14 +3,13 @@
 Drive the library without writing Python::
 
     python -m repro gen-trace --kind oltp --duration 600 -o oltp.csv
-    python -m repro trace-stats oltp.csv
+    python -m repro trace stats oltp.csv
     python -m repro trace import msr-sample.csv.gz --format msr -o real.csv.gz
-    python -m repro trace stats real.csv.gz
     python -m repro run --policy hibernator --trace oltp.csv --slack 2.0
     python -m repro compare --trace oltp.csv --slack 2.0
     python -m repro compare --trace oltp.csv --jobs 4 --cache-dir .repro-cache
     python -m repro compare --trace oltp.csv --trace-out events.jsonl
-    python -m repro trace events.jsonl
+    python -m repro trace show events.jsonl
     python -m repro sweep-slack --trace oltp.csv --slacks 1.5,2,3
     python -m repro cache --cache-dir .repro-cache --clear
 
@@ -136,7 +135,7 @@ def _write_trace_out(events, path: str) -> None:
 
     with atomic_write(path) as fh:
         lines = write_jsonl(events, fh)
-    print(f"wrote {lines} trace event(s) to {path}")
+    print(f"wrote {lines} trace event(s) to {path}", file=sys.stderr)
 
 
 @contextlib.contextmanager
@@ -838,10 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output path (.csv or .csv.gz)")
     p.set_defaults(func=cmd_gen_trace)
 
-    p = sub.add_parser("trace-stats", help="characterize a trace file")
-    p.add_argument("trace_file")
-    p.set_defaults(func=cmd_trace_stats)
-
     p = sub.add_parser("run", help="run one policy on a trace")
     _add_trace_source(p)
     _add_array_options(p)
@@ -1024,8 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "format (MSR-Cambridge CSV, blkparse output, generic "
                     "columnar CSV) into the native format with optional "
                     "modernization (see docs/traces.md), and 'stats' "
-                    "characterizes a native trace file. A bare "
-                    "'repro trace FILE' is shorthand for 'show'.",
+                    "characterizes a native trace file.",
     )
     trace_sub = p.add_subparsers(dest="trace_command", required=True)
 
@@ -1113,12 +1107,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the simulator-aware static-analysis pass",
         description="Whole-program static analysis enforcing the repo's "
                     "reproduction invariants: determinism (DET*), unit "
-                    "consistency (UNIT*), cache-key completeness (CACHE*), "
-                    "observability pairing (OBS*), serve-protocol sync "
-                    "(PROTO*), resource lifecycle (RES*) and concurrency "
-                    "safety (CONC*). Exit codes: 0 no error-severity "
-                    "findings (warnings are reported but non-fatal), "
-                    "1 errors, 2 usage error.",
+                    "consistency (UNIT*), guarded observability emits "
+                    "(OBS002), engine fast-path contracts (PERF*), "
+                    "resource lifecycle (RES*) and concurrency safety "
+                    "(CONC*), plus the CODE_VERSION (CACHE002) and "
+                    "PROTOCOL_VERSION (PROTO003) bump guards. Exit codes: "
+                    "0 no error-severity findings (warnings are reported "
+                    "but non-fatal), 1 errors, 2 usage error.",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: the repro package)")
@@ -1175,23 +1170,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TRACE_SUBCOMMANDS = ("show", "import", "stats")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    arglist = list(sys.argv[1:] if argv is None else argv)
-    # Back-compat: "repro trace FILE" predates the show/import/stats
-    # subcommands and still renders the JSONL event trace.
-    if (
-        len(arglist) >= 2
-        and arglist[0] == "trace"
-        and arglist[1] not in _TRACE_SUBCOMMANDS
-        and arglist[1] not in ("-h", "--help")
-    ):
-        arglist.insert(1, "show")
-    parser = build_parser()
-    args = parser.parse_args(arglist)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

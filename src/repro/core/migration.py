@@ -42,9 +42,6 @@ class MigrationPlan:
     def num_moves(self) -> int:
         return len(self.moves)
 
-    def bytes_to_move(self, extent_bytes: int) -> int:
-        return self.num_moves * extent_bytes
-
 
 def plan_shuffle_migration(
     array: DiskArray,

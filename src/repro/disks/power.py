@@ -27,10 +27,6 @@ class PowerBreakdown:
     def total_joules(self) -> float:
         return sum(self.joules.values())
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())
-
     def merge(self, other: "PowerBreakdown") -> None:
         for label, j in other.joules.items():
             self.joules[label] = self.joules.get(label, 0.0) + j

@@ -2,15 +2,15 @@
 
 A linter that enforces the invariants this repo's reproduction
 guarantees rest on — determinism of result-producing code, unit-suffix
-consistency, observability pairing, resource lifecycles, concurrency
-safety, and (against git history) the CODE_VERSION and
+consistency, guarded observability emits, resource lifecycles,
+concurrency safety, and (against git history) the CODE_VERSION and
 PROTOCOL_VERSION bumps.
-Cross-file rules build on a project-wide symbol table and call graph
-(:mod:`repro.lint.callgraph`). See ``docs/linting.md`` for the rule
-catalog and suppression syntax, and run it via ``repro lint``.
+The determinism rules chase calls through the project's re-export
+aliases (:class:`repro.lint.context.ProjectContext`). See
+``docs/linting.md`` for the rule catalog and suppression syntax, and run
+it via ``repro lint``.
 """
 
-from repro.lint.callgraph import CallGraph, SymbolTable
 from repro.lint.engine import LintResult, discover_files, lint
 from repro.lint.findings import Finding, Severity
 from repro.lint.guard import (
@@ -22,12 +22,10 @@ from repro.lint.registry import Rule, all_rules, register
 from repro.lint.reporters import render_json, render_rule_list, render_text
 
 __all__ = [
-    "CallGraph",
     "Finding",
     "LintResult",
     "Rule",
     "Severity",
-    "SymbolTable",
     "all_rules",
     "check_code_version_bump",
     "check_protocol_version_bump",

@@ -2,24 +2,30 @@
 
 A :class:`FileContext` owns one parsed module: source text, AST, the
 dotted module name derived from the path, and lazily-built helpers
-(parent links) that several rules share. A :class:`ProjectContext` owns
-every file the engine loaded — the files being linted plus, when those
-files belong to an installed ``repro`` package tree, the *rest* of that
-tree as analysis context. Cross-file rules (the observability pairing
-rule builds a project-wide set of emitting functions) read the project;
-findings are only ever reported against the files actually selected for
-linting.
+(parent links, the import table) that several rules share. A
+:class:`ProjectContext` owns every file the engine loaded — the files
+being linted plus, when those files belong to an installed ``repro``
+package tree, the *rest* of that tree as analysis context. The
+determinism rules read the project to chase a call through package
+``__init__`` re-exports to the module that defines it; findings are
+only ever reported against the files actually selected for linting.
 """
 
 from __future__ import annotations
 
 import ast
-import typing
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.callgraph import CallGraph, SymbolTable
+
+def bare_call_name(node: ast.Call) -> str | None:
+    """The rightmost identifier a call dispatches on (``x.y.z()`` → ``z``)."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
 
 
 def module_name_for_path(path: Path) -> str:
@@ -137,9 +143,9 @@ class ProjectContext:
 
     ``files`` holds the files selected for linting; ``context_files``
     additionally holds package siblings loaded purely as analysis
-    context. ``cache`` is a scratch dict rules use to memoize expensive
-    whole-project passes (keyed by rule-chosen strings) so the analysis
-    runs once per lint invocation, not once per file.
+    context. Both feed the re-export alias map: ``from X import Y as Z``
+    inside module ``M`` records ``M.Z -> X.Y``, so a name imported
+    through package ``__init__`` hops resolves to its defining module.
     """
 
     def __init__(
@@ -149,48 +155,52 @@ class ProjectContext:
     ) -> None:
         self.files = files
         self.context_files = context_files if context_files is not None else []
-        self.cache: dict[str, Any] = {}
+        self._aliases: dict[str, str] | None = None
 
-    def all_files(self) -> list[FileContext]:
-        """Linted files plus context-only files, linted files first."""
-        return [*self.files, *self.context_files]
+    def _alias_map(self) -> dict[str, str]:
+        """The project-wide re-export alias map (built once per lint run)."""
+        if self._aliases is None:
+            table: dict[str, str] = {}
+            for ctx in [*self.files, *self.context_files]:
+                for alias, target in ctx.imports().items():
+                    if "." in target:
+                        table.setdefault(f"{ctx.module}.{alias}", target)
+            self._aliases = table
+        return self._aliases
 
-    # -- whole-program analysis ---------------------------------------------
+    def resolve(self, dotted: str) -> str:
+        """Canonical dotted name of ``dotted``, following re-export chains.
 
-    def symbols(self) -> "SymbolTable":
-        """The project-wide symbol table (built once per lint run).
-
-        Indexes every function/method/class across all loaded files and
-        the re-export alias map, so rules resolve ``repro.*`` names to
-        their defining module (see :mod:`repro.lint.callgraph`).
+        ``repro.obs.JsonlWriter.write`` resolves through the package
+        ``__init__`` alias to ``repro.obs.tracelog.JsonlWriter.write``.
+        Unknown names come back unchanged; alias cycles terminate.
         """
-        from repro.lint.callgraph import SymbolTable
-
-        cached = self.cache.get("project.symbols")
-        if cached is None:
-            cached = SymbolTable.build(self.all_files())
-            self.cache["project.symbols"] = cached
-        return cached
-
-    def call_graph(self) -> "CallGraph":
-        """The project-wide call graph (built once per lint run)."""
-        from repro.lint.callgraph import CallGraph
-
-        cached = self.cache.get("project.call_graph")
-        if cached is None:
-            cached = CallGraph(self.symbols())
-            self.cache["project.call_graph"] = cached
-        return cached
+        aliases = self._alias_map()
+        seen: set[str] = set()
+        while dotted not in seen:
+            seen.add(dotted)
+            if dotted in aliases:
+                dotted = aliases[dotted]
+                continue
+            parts = dotted.split(".")
+            for cut in range(len(parts) - 1, 0, -1):
+                prefix = ".".join(parts[:cut])
+                if prefix in aliases:
+                    dotted = ".".join([aliases[prefix], *parts[cut:]])
+                    break
+            else:
+                break
+        return dotted
 
     def resolve_call(self, ctx: FileContext, func: ast.expr) -> str | None:
         """Canonical dotted name a call resolves to, project-wide.
 
         One step past :meth:`FileContext.qualified_call_name`: the
-        import-table resolution is chased through the symbol table's
-        re-export aliases, so ``from repro.obs import JsonlWriter``
-        call sites resolve to ``repro.obs.tracelog.JsonlWriter``.
+        import-table resolution is chased through the re-export
+        aliases, so ``from repro.obs import JsonlWriter`` call sites
+        resolve to ``repro.obs.tracelog.JsonlWriter``.
         """
         dotted = ctx.qualified_call_name(func)
         if dotted is None:
             return None
-        return self.symbols().resolve(dotted)
+        return self.resolve(dotted)

@@ -186,9 +186,10 @@ def lint(
         extra_findings: pre-computed findings (the CODE_VERSION guard)
             folded through the same selection and sorting as rule output.
 
-    Cross-file rules see the whole ``repro`` package of any linted file
-    as analysis context, so linting a single changed file (pre-commit)
-    reaches the same verdicts as linting the full tree.
+    The whole ``repro`` package of any linted file is loaded as
+    analysis context, so the determinism rules chase re-export aliases
+    through files that are not linted, and linting a single changed file
+    (pre-commit) reaches the same verdicts as linting the full tree.
     """
     selected = set(select) if select is not None else None
     ignored = set(ignore) if ignore is not None else set()
@@ -225,7 +226,7 @@ def lint(
         assert ctx is not None
         contexts.append(ctx)
 
-    # Pull in package siblings as cross-file analysis context.
+    # Pull in package siblings as alias-resolution context.
     linted_paths = {ctx.path.resolve() for ctx in contexts}
     context_files: list[FileContext] = []
     roots_seen: set[Path] = set()

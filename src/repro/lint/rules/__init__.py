@@ -4,7 +4,7 @@ Rule id namespaces:
 
 * ``DET00x`` — determinism (:mod:`repro.lint.rules.determinism`)
 * ``UNIT00x`` — unit consistency (:mod:`repro.lint.rules.units`)
-* ``OBS00x`` — observability pairing (:mod:`repro.lint.rules.obspairing`)
+* ``OBS002`` — guarded observability emits (:mod:`repro.lint.rules.obspairing`)
 * ``PERF00x`` — engine fast-path contracts (:mod:`repro.lint.rules.perf`)
 * ``RES00x`` — resource lifecycle (:mod:`repro.lint.rules.resources`)
 * ``CONC00x`` — concurrency safety (:mod:`repro.lint.rules.concurrency`)

@@ -21,8 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import bare_call_name
-from repro.lint.context import FileContext, ProjectContext
+from repro.lint.context import FileContext, ProjectContext, bare_call_name
 from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 

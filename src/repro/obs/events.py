@@ -153,10 +153,6 @@ class SpeedTransition(TraceEvent):
         return self.from_rpm == 0 and self.to_rpm > 0
 
     @property
-    def is_spindown(self) -> bool:
-        return self.from_rpm > 0 and self.to_rpm == 0
-
-    @property
     def is_speed_change(self) -> bool:
         """Spinning-to-spinning change (the ``speed_changes`` counter)."""
         return self.from_rpm > 0 and self.to_rpm > 0

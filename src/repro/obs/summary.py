@@ -1,6 +1,6 @@
 """Trace rendering and event-vs-result reconciliation.
 
-``repro trace t.jsonl`` turns a raw event log back into the story of the
+``repro trace show t.jsonl`` turns a raw event log back into the story of the
 run: a per-epoch decision table, an ASCII speed/boost timeline (built on
 :mod:`repro.analysis.ascii_plot`) and a reconciliation block proving the
 event stream accounts for every reported counter.

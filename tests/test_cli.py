@@ -34,9 +34,16 @@ def test_gen_trace_writes_file(tmp_path, capsys):
 
 
 def test_trace_stats(tmp_path, capsys):
+    """`trace stats` is the one spelling; the old top-level
+    `trace-stats` is an argparse error."""
     path = gen(tmp_path)
     capsys.readouterr()
-    assert main(["trace-stats", str(path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["trace-stats", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "trace-stats" in err
+    assert main(["trace", "stats", str(path)]) == 0
     out = capsys.readouterr().out
     assert "mean rate" in out
     assert "top-10% share" in out
@@ -225,11 +232,16 @@ def test_run_trace_out_and_render(tmp_path, capsys):
     assert main(["run", "--trace", str(path), "--policy", "hibernator",
                  "--disks", "4", "--epoch", "30",
                  "--trace-out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert f"trace event(s) to {out_path}" in out
+    assert f"trace event(s) to {out_path}" in capsys.readouterr().err
     assert out_path.is_file()
 
-    assert main(["trace", str(out_path)]) == 0
+    # The file report goes to stderr, so --json stdout stays one document.
+    assert main(["run", "--trace", str(path), "--policy", "hibernator",
+                 "--disks", "4", "--epoch", "30", "--json",
+                 "--trace-out", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["policy"] == "Hibernator"
+
+    assert main(["trace", "show", str(out_path)]) == 0
     rendered = capsys.readouterr().out
     assert "epoch decisions" in rendered
     assert "reconciliation" in rendered
@@ -249,7 +261,7 @@ def test_compare_trace_out_covers_all_schemes(tmp_path, capsys):
     assert names == ["Base", "TPM", "DRPM", "PDC", "MAID", "Hibernator"]
 
     capsys.readouterr()
-    assert main(["trace", str(out_path)]) == 0
+    assert main(["trace", "show", str(out_path)]) == 0
     rendered = capsys.readouterr().out
     for name in names:
         assert f"== {name} " in rendered
@@ -274,7 +286,7 @@ def test_sweep_slack_trace_out(tmp_path, capsys):
 def test_trace_on_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert main(["trace", str(empty)]) == 0
+    assert main(["trace", "show", str(empty)]) == 0
     assert "no events" in capsys.readouterr().out
 
 
@@ -299,7 +311,7 @@ def test_serve_replay_matches_run(tmp_path, capsys):
     assert _strip_runtime(batch) == _strip_runtime(served)
     # The streamed trace renders and reconciles like a batch one.
     capsys.readouterr()
-    assert main(["trace", str(events)]) == 0
+    assert main(["trace", "show", str(events)]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
 
 
@@ -402,8 +414,8 @@ def test_trace_stats_subcommand(tmp_path, capsys):
 
 
 def test_trace_show_backcompat(tmp_path, capsys):
-    """The pre-subcommand spelling `repro trace EVENTS.jsonl` still
-    renders an event log, and `trace show` is its explicit alias."""
+    """The pre-subcommand spelling `repro trace EVENTS.jsonl` is gone:
+    it is an argparse error, and `trace show` renders the event log."""
     path = gen(tmp_path)
     events = tmp_path / "events.jsonl"
     capsys.readouterr()
@@ -411,11 +423,12 @@ def test_trace_show_backcompat(tmp_path, capsys):
                  "--disks", "4", "--epoch", "30",
                  "--trace-out", str(events)]) == 0
     capsys.readouterr()
-    assert main(["trace", str(events)]) == 0
-    legacy = capsys.readouterr().out
-    assert "epoch decisions" in legacy
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", str(events)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
     assert main(["trace", "show", str(events)]) == 0
-    assert capsys.readouterr().out == legacy
+    assert "epoch decisions" in capsys.readouterr().out
 
 
 def test_gen_trace_new_kinds(tmp_path, capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.energy import joules_to_kwh, mean_watts, savings_fraction
+from repro.analysis.energy import joules_to_kwh, savings_fraction
 from repro.analysis.experiments import (
     ComparisonResult,
     default_array_config,
@@ -30,10 +30,6 @@ class TestEnergyHelpers:
         assert savings_fraction(50.0, 100.0) == pytest.approx(0.5)
         assert savings_fraction(150.0, 100.0) == pytest.approx(-0.5)
         assert savings_fraction(1.0, 0.0) == 0.0
-
-    def test_mean_watts(self):
-        assert mean_watts(100.0, 10.0) == 10.0
-        assert mean_watts(100.0, 0.0) == 0.0
 
 
 class TestDefaultConfig:

@@ -4,7 +4,7 @@ on the compliant one.
 Fixture files live in ``tests/lint_fixtures/`` (named without a
 ``test_`` prefix so pytest never collects them). They resolve outside
 the ``repro`` package, which the engine treats as in-scope for every
-rule — that is how scoped rules (DET*, OBS*) are exercised without
+rule — that is how scoped rules (DET*, OBS002) are exercised without
 faking a package layout.
 """
 
@@ -20,15 +20,13 @@ from repro.lint import check_protocol_version_bump, lint
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 RULES = ["DET001", "DET002", "DET003", "DET004",
-         "UNIT001", "UNIT002", "OBS001", "OBS002", "PERF001",
+         "UNIT001", "UNIT002", "OBS002", "PERF001",
          "RES001", "RES002", "CONC001", "CONC002", "CONC003"]
 
 
 def _findings(filename: str, rule_id: str):
-    # One file per lint() call: cross-file analyses (OBS001) must not
-    # see the compliant twin while judging the bad fixture.
-    result = lint([FIXTURES / filename], select=[rule_id])
-    return result
+    # One file per lint() call: the bad fixture is judged on its own.
+    return lint([FIXTURES / filename], select=[rule_id])
 
 
 @pytest.mark.parametrize("rule_id", RULES)
@@ -51,7 +49,7 @@ def test_expected_bad_fixture_counts():
     (weaker *or* stronger matching) surface as a diff here."""
     expected = {
         "DET001": 3, "DET002": 2, "DET003": 3, "DET004": 3,
-        "UNIT001": 3, "UNIT002": 3, "OBS001": 1, "OBS002": 2,
+        "UNIT001": 3, "UNIT002": 3, "OBS002": 2,
         "PERF001": 3, "RES001": 3, "RES002": 2,
         "CONC001": 2, "CONC002": 2, "CONC003": 3,
     }

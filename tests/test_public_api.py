@@ -40,7 +40,7 @@ MODULES = [
     "repro.serve.client",
     "repro.lint", "repro.lint.findings", "repro.lint.context",
     "repro.lint.registry", "repro.lint.engine", "repro.lint.reporters",
-    "repro.lint.guard", "repro.lint.callgraph",
+    "repro.lint.guard",
     "repro.lint.rules", "repro.lint.rules.determinism",
     "repro.lint.rules.units", "repro.lint.rules.obspairing",
     "repro.lint.rules.perf", "repro.lint.rules.resources",
